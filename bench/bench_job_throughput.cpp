@@ -22,7 +22,9 @@
 //
 // Every job is a distinct spec (seed varies), so the cross-job
 // candidate cache never hits — jobs_rps measures real evaluation
-// throughput, not dedupe. Candidate evaluations parallelize on the
+// throughput, not dedupe. Every job targets the same suite, so they
+// share one search context: the suite is simulated, primed and scored
+// once, and the drain is subset scoring. Candidate evaluations parallelize on the
 // par:: pool inside each slice; the drain loop itself is the same
 // single-threaded cooperative stepper the serve loop uses.
 //

@@ -5,6 +5,7 @@
 
 #include "obs/trace.hpp"
 #include "sim/pmu.hpp"
+#include "suites/suite_factory.hpp"
 
 namespace perspector::core {
 
@@ -177,6 +178,16 @@ CounterMatrix collect_counters(const sim::SuiteSpec& suite,
   obs::Span span("collect_counters/" + suite.name);
   return CounterMatrix::from_sim_results(
       suite.name, sim::simulate_suite(suite, machine, options));
+}
+
+CounterMatrix simulate_builtin(const std::string& name,
+                               std::uint64_t instructions) {
+  suites::SuiteBuildOptions build;
+  build.instructions_per_workload = instructions;
+  sim::SimOptions sim_options;
+  sim_options.sample_interval = std::max<std::uint64_t>(instructions / 100, 1);
+  return collect_counters(suites::suite_by_name(name, build),
+                          sim::MachineConfig::xeon_e2186g(), sim_options);
 }
 
 }  // namespace perspector::core

@@ -5,6 +5,7 @@
 // TrendScore.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -81,5 +82,12 @@ class CounterMatrix {
 CounterMatrix collect_counters(const sim::SuiteSpec& suite,
                                const sim::MachineConfig& machine,
                                const sim::SimOptions& options = {});
+
+/// Simulates a built-in suite the one way `demo`, the serving engine and
+/// subset-search jobs all do: equal instruction budgets, sample interval =
+/// instructions/100 (min 1), the Xeon E-2186G machine model. Throws
+/// std::invalid_argument on an unknown name.
+CounterMatrix simulate_builtin(const std::string& name,
+                               std::uint64_t instructions);
 
 }  // namespace perspector::core

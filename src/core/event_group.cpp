@@ -25,6 +25,14 @@ EventGroup EventGroup::branch() {
   return EventGroup("branch", {"branch-instructions", "branch-misses"});
 }
 
+EventGroup event_group_by_name(const std::string& name) {
+  if (name == "all") return EventGroup::all();
+  if (name == "llc") return EventGroup::llc();
+  if (name == "tlb") return EventGroup::tlb();
+  if (name == "branch") return EventGroup::branch();
+  throw std::invalid_argument("unknown event group '" + name + "'");
+}
+
 EventGroup EventGroup::custom(std::string name,
                               std::vector<std::string> counters) {
   if (counters.empty()) {

@@ -41,4 +41,8 @@ class EventGroup {
   std::vector<std::string> counters_;  // empty = all
 };
 
+/// The named group all / llc / tlb / branch. Throws std::invalid_argument
+/// on any other name.
+EventGroup event_group_by_name(const std::string& name);
+
 }  // namespace perspector::core

@@ -29,14 +29,7 @@ std::vector<SuiteScores> Perspector::score_suites(
   // Focused scoring: restrict every suite to the selected event group.
   std::vector<CounterMatrix> filtered;
   filtered.reserve(suites.size());
-  for (const auto& suite : suites) {
-    if (options_.events.is_all()) {
-      filtered.push_back(suite);
-    } else {
-      filtered.push_back(suite.select_counters(
-          options_.events.indices_in(suite.counter_names())));
-    }
-  }
+  for (const auto& suite : suites) filtered.push_back(filter(suite));
 
   // Joint normalization across all suites (Eq. 9-10) for coverage/spread.
   std::vector<la::Matrix> normalized;
@@ -51,51 +44,103 @@ std::vector<SuiteScores> Perspector::score_suites(
   std::vector<SuiteScores> results;
   results.reserve(filtered.size());
   for (std::size_t i = 0; i < filtered.size(); ++i) {
-    SuiteScores s;
-    s.suite = filtered[i].suite_name();
-
-    {
-      obs::Span phase("cluster_score");
-      s.cluster_detail = cluster_score(filtered[i], options_.cluster);
-      s.cluster = s.cluster_detail.score;
-    }
-
-    if (options_.compute_trend && filtered[i].has_series()) {
-      obs::Span phase("trend_score");
-      static obs::Counter& hits = obs::counter("cache.hits");
-      static obs::Counter& misses = obs::counter("cache.misses");
-      // First series-bearing suite primes the workspace; row-views of the
-      // primed suite (the suite itself, subsets, resamples) then score by
-      // cache lookup — same doubles, same summation order, same bits.
-      if (!workspace.trend_primed()) {
-        workspace.prime_trend(filtered[i], options_.trend);
-      }
-      std::vector<std::size_t> rows;
-      if (workspace.map_rows(filtered[i], options_.trend, rows)) {
-        hits.increment();
-        s.trend_detail = workspace.trend_score_from_cache(rows);
-      } else {
-        misses.increment();
-        s.trend_detail = trend_score(filtered[i], options_.trend);
-      }
-      s.trend = s.trend_detail.score;
-    }
-
-    {
-      obs::Span phase("coverage_score");
-      s.coverage_detail = coverage_score(normalized[i], options_.coverage);
-      s.coverage = s.coverage_detail.score;
-    }
-
-    {
-      obs::Span phase("spread_score");
-      s.spread_detail = spread_score(normalized[i], options_.spread);
-      s.spread = s.spread_detail.score;
-    }
-
-    results.push_back(std::move(s));
+    prime(filtered[i], workspace);
+    results.push_back(score_normalized(filtered[i], normalized[i], workspace));
   }
   return results;
+}
+
+ScoredReference Perspector::score_reference(const CounterMatrix& suite,
+                                            ScoringWorkspace& workspace) const {
+  obs::Span span("score_reference");
+  ScoredReference reference;
+  reference.filtered = filter(suite);
+  la::Matrix normalized;
+  {
+    obs::Span normalize_span("joint_normalize");
+    reference.ranges = joint_ranges({&reference.filtered.values()});
+    normalized =
+        apply_joint_normalization(reference.filtered.values(), reference.ranges);
+  }
+  prime(reference.filtered, workspace);
+  reference.scores =
+      score_normalized(reference.filtered, normalized, workspace);
+  return reference;
+}
+
+SuiteScores Perspector::score_subset(const ScoredReference& reference,
+                                     const std::vector<std::size_t>& rows,
+                                     const ScoringWorkspace& workspace) const {
+  obs::Span span("score_subset");
+  // The subset's rows are copies of reference rows, so folding them into
+  // the reference's min/max changes no bit: the reference's ranges are
+  // the joint ranges of the pair.
+  const CounterMatrix subset = reference.filtered.select_workloads(rows);
+  la::Matrix normalized;
+  {
+    obs::Span normalize_span("joint_normalize");
+    normalized = apply_joint_normalization(subset.values(), reference.ranges);
+  }
+  return score_normalized(subset, normalized, workspace);
+}
+
+CounterMatrix Perspector::filter(const CounterMatrix& suite) const {
+  if (options_.events.is_all()) return suite;
+  return suite.select_counters(
+      options_.events.indices_in(suite.counter_names()));
+}
+
+void Perspector::prime(const CounterMatrix& filtered,
+                       ScoringWorkspace& workspace) const {
+  // The first series-bearing suite primes the workspace; row-views of the
+  // primed suite (the suite itself, subsets, resamples) then score trend
+  // by cache lookup — same doubles, same summation order, same bits.
+  if (options_.compute_trend && filtered.has_series() &&
+      !workspace.trend_primed()) {
+    workspace.prime_trend(filtered, options_.trend);
+  }
+}
+
+SuiteScores Perspector::score_normalized(
+    const CounterMatrix& filtered, const la::Matrix& normalized,
+    const ScoringWorkspace& workspace) const {
+  SuiteScores s;
+  s.suite = filtered.suite_name();
+
+  {
+    obs::Span phase("cluster_score");
+    s.cluster_detail = cluster_score(filtered, options_.cluster);
+    s.cluster = s.cluster_detail.score;
+  }
+
+  if (options_.compute_trend && filtered.has_series()) {
+    obs::Span phase("trend_score");
+    static obs::Counter& hits = obs::counter("cache.hits");
+    static obs::Counter& misses = obs::counter("cache.misses");
+    std::vector<std::size_t> rows;
+    if (workspace.map_rows(filtered, options_.trend, rows)) {
+      hits.increment();
+      s.trend_detail = workspace.trend_score_from_cache(rows);
+    } else {
+      misses.increment();
+      s.trend_detail = trend_score(filtered, options_.trend);
+    }
+    s.trend = s.trend_detail.score;
+  }
+
+  {
+    obs::Span phase("coverage_score");
+    s.coverage_detail = coverage_score(normalized, options_.coverage);
+    s.coverage = s.coverage_detail.score;
+  }
+
+  {
+    obs::Span phase("spread_score");
+    s.spread_detail = spread_score(normalized, options_.spread);
+    s.spread = s.spread_detail.score;
+  }
+
+  return s;
 }
 
 SuiteScores Perspector::score_suite(const CounterMatrix& suite) const {

@@ -118,6 +118,30 @@ std::vector<std::size_t> select_hierarchical(const la::Matrix& normalized,
 
 }  // namespace
 
+ScoreDeviation score_deviation(const SuiteScores& full,
+                               const SuiteScores& subset) {
+  const double fulls[] = {full.cluster, full.trend, full.coverage,
+                          full.spread};
+  const double subsets[] = {subset.cluster, subset.trend, subset.coverage,
+                            subset.spread};
+  ScoreDeviation deviation;
+  double total = 0.0;
+  std::size_t counted = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    if (fulls[i] == 0.0) {  // metric skipped (e.g. no series)
+      deviation.per_score_pct.push_back(0.0);
+      continue;
+    }
+    deviation.per_score_pct.push_back(100.0 * std::abs(subsets[i] - fulls[i]) /
+                                      std::abs(fulls[i]));
+    total += deviation.per_score_pct.back();
+    ++counted;
+  }
+  deviation.mean_pct =
+      counted == 0 ? 0.0 : total / static_cast<double>(counted);
+  return deviation;
+}
+
 std::vector<std::size_t> select_subset(const CounterMatrix& suite,
                                        const SubsetOptions& options) {
   if (options.target_size >= suite.num_workloads()) {
@@ -186,28 +210,10 @@ SubsetResult generate_subset(const CounterMatrix& suite,
         total / static_cast<double>(std::min(common, per_k.size()));
   }
 
-  const auto deviation = [](double subset, double full) {
-    if (full == 0.0) return 0.0;
-    return 100.0 * std::abs(subset - full) / std::abs(full);
-  };
-  result.per_score_deviation_pct = {
-      deviation(result.subset_scores.cluster, result.full_scores.cluster),
-      deviation(result.subset_scores.trend, result.full_scores.trend),
-      deviation(result.subset_scores.coverage, result.full_scores.coverage),
-      deviation(result.subset_scores.spread, result.full_scores.spread),
-  };
-  double total = 0.0;
-  std::size_t counted = 0;
-  const std::vector<double> fulls = {
-      result.full_scores.cluster, result.full_scores.trend,
-      result.full_scores.coverage, result.full_scores.spread};
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (fulls[i] == 0.0) continue;  // metric skipped (e.g. no series)
-    total += result.per_score_deviation_pct[i];
-    ++counted;
-  }
-  result.mean_deviation_pct =
-      counted == 0 ? 0.0 : total / static_cast<double>(counted);
+  ScoreDeviation deviation =
+      score_deviation(result.full_scores, result.subset_scores);
+  result.per_score_deviation_pct = std::move(deviation.per_score_pct);
+  result.mean_deviation_pct = deviation.mean_pct;
   return result;
 }
 

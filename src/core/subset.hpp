@@ -55,6 +55,19 @@ struct SubsetResult {
   std::vector<double> per_score_deviation_pct;
 };
 
+/// How far a subset's scores sit from the full suite's.
+struct ScoreDeviation {
+  /// Per-score relative deviations (cluster, trend, coverage, spread), %:
+  /// 100 * |subset - full| / |full|, or 0 where the full score is 0.
+  std::vector<double> per_score_pct;
+  /// Mean over the scores whose full value is non-zero (a score at 0 was
+  /// skipped, e.g. trend without series); 0 when none is.
+  double mean_pct = 0.0;
+};
+
+ScoreDeviation score_deviation(const SuiteScores& full,
+                               const SuiteScores& subset);
+
 /// Selects the subset workload indices only (no scoring).
 std::vector<std::size_t> select_subset(const CounterMatrix& suite,
                                        const SubsetOptions& options);

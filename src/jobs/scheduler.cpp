@@ -55,6 +55,14 @@ obs::Counter& cache_hits_counter() {
   static obs::Counter& c = obs::counter("jobs.candidate_cache_hits");
   return c;
 }
+obs::Counter& context_hits_counter() {
+  static obs::Counter& c = obs::counter("jobs.context_hits");
+  return c;
+}
+obs::Counter& context_misses_counter() {
+  static obs::Counter& c = obs::counter("jobs.context_misses");
+  return c;
+}
 obs::Histogram& candidate_latency() {
   static obs::Histogram& h = obs::histogram("jobs.candidate.latency");
   return h;
@@ -150,6 +158,29 @@ void Scheduler::checkpoint_job(Job& job) {
     job.last_checkpoint = job.evaluated;
     checkpoints_counter().increment();
   }
+}
+
+std::shared_ptr<const SearchContext> Scheduler::context_for(
+    const JobSpec& spec) {
+  const CandidateKey key = context_key(spec);
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (auto it = contexts_.begin(); it != contexts_.end(); ++it) {
+      if (it->first == key) {
+        contexts_.splice(contexts_.begin(), contexts_, it);
+        context_hits_counter().increment();
+        return it->second;
+      }
+    }
+  }
+  // Built unlocked: only the single stepper gets here, so no two builds
+  // of one key race.
+  context_misses_counter().increment();
+  auto context = std::make_shared<const SearchContext>(spec);
+  std::unique_lock<std::mutex> lock(mutex_);
+  contexts_.emplace_front(key, context);
+  if (contexts_.size() > kContextSlots) contexts_.pop_back();
+  return context;
 }
 
 std::shared_ptr<Scheduler::Job> Scheduler::try_resume_locked(
@@ -295,6 +326,7 @@ std::optional<JobStatus> Scheduler::cancel(const std::string& id) {
       job->state = JobState::Cancelled;
       cancelled_counter().increment();
       checkpoint_job(*job);
+      job->search.reset();
     }
   }
   return status_of_locked(*job);
@@ -346,7 +378,8 @@ void Scheduler::step() {
   std::string failure;
   if (!job->search) {
     try {
-      job->search = std::make_unique<SubsetSearch>(job->spec);
+      job->search =
+          std::make_unique<SubsetSearch>(job->spec, context_for(job->spec));
     } catch (const std::exception& e) {
       failure = e.what();
     }
@@ -437,6 +470,8 @@ void Scheduler::step() {
       options_.checkpoint_every != 0 &&
       job->evaluated - job->last_checkpoint >= options_.checkpoint_every;
   if (is_terminal(job->state) || cadence_due) checkpoint_job(*job);
+  // A finished job keeps its result, not its share of a context.
+  if (is_terminal(job->state)) job->search.reset();
   job->stepping = false;
   stepping_ = false;
 }

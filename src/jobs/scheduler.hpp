@@ -17,6 +17,14 @@
 // and resubmitting an existing id (including one recoverable from a
 // checkpoint on disk) returns the existing job.
 //
+// Jobs on the same suite share one SearchContext (search.hpp): the
+// scheduler keeps the last kContextSlots contexts in an LRU keyed by
+// context_key (suite content and events), so the full suite is
+// simulated, primed and scored once between them. A context is
+// immutable and bit-identical to a freshly built one, so sharing it
+// changes no byte. Nothing is process-global: two Schedulers share
+// nothing.
+//
 // Candidate outcomes dedupe across jobs through a bounded
 // content-addressed cache keyed on (suite content, events, target size,
 // seed, index): two jobs differing only in client or candidate budget
@@ -33,10 +41,12 @@
 // Counters: jobs.submitted, jobs.duplicate_submits, jobs.rejected,
 // jobs.completed, jobs.cancelled, jobs.failed, jobs.resumed,
 // jobs.checkpoints, jobs.candidates_evaluated,
-// jobs.candidate_cache_hits; histogram jobs.candidate.latency.
+// jobs.candidate_cache_hits, jobs.context_hits, jobs.context_misses;
+// histogram jobs.candidate.latency.
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -132,6 +142,13 @@ class Scheduler {
   std::string checkpoint_path(const std::string& id) const;
   std::size_t active_count_locked() const;
   std::size_t active_count_locked(const std::string& client) const;
+  /// The shared context for `spec`, built (unlocked) on a miss. Called
+  /// by the stepper only; throws what SearchContext's constructor throws.
+  std::shared_ptr<const SearchContext> context_for(const JobSpec& spec);
+
+  /// Search contexts kept for reuse: one per suite in flight is enough
+  /// for jobs to share, and each holds a whole suite with its DTW cache.
+  static constexpr std::size_t kContextSlots = 4;
 
   SchedulerOptions options_;
   std::mutex mutex_;
@@ -140,6 +157,9 @@ class Scheduler {
   bool stepping_ = false;  // single-stepper guard (scoring is unlocked)
   std::map<CandidateKey, CandidateOutcome> candidate_cache_;
   std::vector<CandidateKey> candidate_fifo_;  // eviction order
+  /// Most recently used first.
+  std::list<std::pair<CandidateKey, std::shared_ptr<const SearchContext>>>
+      contexts_;
 };
 
 }  // namespace perspector::jobs

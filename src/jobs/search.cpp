@@ -1,17 +1,14 @@
 #include "jobs/search.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "core/event_group.hpp"
 #include "core/io.hpp"
+#include "core/subset.hpp"
 #include "sampling/latin_hypercube.hpp"
 #include "sampling/representative.hpp"
-#include "sim/machine_config.hpp"
-#include "sim/simulator.hpp"
 #include "stats/normalize.hpp"
-#include "suites/suite_factory.hpp"
 
 namespace perspector::jobs {
 
@@ -36,9 +33,9 @@ std::uint64_t fold_u64(std::uint64_t hash, std::uint64_t v) {
   return fnv1a64(hash, &v, sizeof v);
 }
 
-/// Digests the outcome-determining spec fields into one 64-bit stream
+/// Digests the suite-determining spec fields into one 64-bit stream
 /// rooted at `basis` (two bases give the two key words).
-std::uint64_t digest_spec(const JobSpec& spec, std::uint64_t basis) {
+std::uint64_t digest_suite(const JobSpec& spec, std::uint64_t basis) {
   std::uint64_t hash = basis;
   hash = fold_str(hash, spec.builtin);
   hash = fold_u64(hash, spec.instructions);
@@ -46,30 +43,24 @@ std::uint64_t digest_spec(const JobSpec& spec, std::uint64_t basis) {
   hash = fold_str(hash, spec.csv_text);
   hash = fold_str(hash, spec.series_text);
   hash = fold_str(hash, spec.events);
+  return hash;
+}
+
+/// The suite digest extended by the rest of the outcome-determining
+/// fields.
+std::uint64_t digest_spec(const JobSpec& spec, std::uint64_t basis) {
+  std::uint64_t hash = digest_suite(spec, basis);
   hash = fold_u64(hash, spec.target_size);
   hash = fold_u64(hash, spec.seed);
   return hash;
 }
 
-core::EventGroup event_group_by_name(const std::string& name) {
-  if (name == "all") return core::EventGroup::all();
-  if (name == "llc") return core::EventGroup::llc();
-  if (name == "tlb") return core::EventGroup::tlb();
-  if (name == "branch") return core::EventGroup::branch();
-  throw std::invalid_argument("unknown event group '" + name + "'");
-}
+constexpr std::uint64_t kBasisHi = 0xcbf29ce484222325ull;
+constexpr std::uint64_t kBasisLo = 0x84222325cbf29ce4ull;
 
 core::CounterMatrix resolve_suite(const JobSpec& spec) {
   if (!spec.builtin.empty()) {
-    suites::SuiteBuildOptions build;
-    build.instructions_per_workload = spec.instructions;
-    // Identical to serve's builtin path: ~100 samples per workload.
-    sim::SimOptions sim_options;
-    sim_options.sample_interval =
-        std::max<std::uint64_t>(spec.instructions / 100, 1);
-    return core::collect_counters(suites::suite_by_name(spec.builtin, build),
-                                  sim::MachineConfig::xeon_e2186g(),
-                                  sim_options);
+    return core::simulate_builtin(spec.builtin, spec.instructions);
   }
   if (spec.csv_text.empty()) {
     throw std::invalid_argument(
@@ -84,10 +75,39 @@ core::CounterMatrix resolve_suite(const JobSpec& spec) {
   return core::read_aggregates_csv_text(name, spec.csv_text);
 }
 
+std::vector<stats::Ecdf> column_cdfs(const la::Matrix& normalized) {
+  std::vector<stats::Ecdf> cdfs;
+  cdfs.reserve(normalized.cols());
+  for (std::size_t c = 0; c < normalized.cols(); ++c) {
+    cdfs.emplace_back(normalized.col_copy(c));
+  }
+  return cdfs;
+}
+
+core::PerspectorOptions scoring_options(const JobSpec& spec,
+                                        const core::CounterMatrix& suite) {
+  core::PerspectorOptions options;
+  options.events = core::event_group_by_name(spec.events);
+  options.compute_trend = suite.has_series();
+  return options;
+}
+
 }  // namespace
 
-SubsetSearch::SubsetSearch(const JobSpec& spec)
-    : spec_(spec), suite_(resolve_suite(spec)) {
+SearchContext::SearchContext(const JobSpec& spec)
+    : suite(resolve_suite(spec)),
+      normalized(stats::minmax_normalize_columns(suite.values())),
+      cdfs(column_cdfs(normalized)),
+      engine(scoring_options(spec, suite)),
+      full(engine.score_reference(suite, workspace)) {}
+
+CandidateKey context_key(const JobSpec& spec) {
+  return {digest_suite(spec, kBasisHi), digest_suite(spec, kBasisLo)};
+}
+
+SubsetSearch::SubsetSearch(const JobSpec& spec,
+                           std::shared_ptr<const SearchContext> context)
+    : spec_(spec), context_(std::move(context)) {
   if (spec_.candidates == 0) {
     throw std::invalid_argument("search needs candidates > 0");
   }
@@ -95,28 +115,17 @@ SubsetSearch::SubsetSearch(const JobSpec& spec)
     throw std::invalid_argument(
         "target size must be >= 4 (ClusterScore needs it)");
   }
-  if (spec_.target_size >= suite_.num_workloads()) {
+  if (spec_.target_size >= suite_size()) {
     throw std::invalid_argument(
         "target size must be smaller than the suite (" +
-        std::to_string(suite_.num_workloads()) + " workloads)");
+        std::to_string(suite_size()) + " workloads)");
   }
-  scoring_.events = event_group_by_name(spec_.events);
-  scoring_.compute_trend = suite_.has_series();
-  engine_ = std::make_unique<core::Perspector>(scoring_);
-
-  // Subsets are selected in the full normalized counter space, exactly
-  // like core::select_subset; the event filter applies to scoring only.
-  normalized_ = stats::minmax_normalize_columns(suite_.values());
-  cdfs_.reserve(normalized_.cols());
-  for (std::size_t c = 0; c < normalized_.cols(); ++c) {
-    cdfs_.emplace_back(normalized_.col_copy(c));
-  }
-
-  spec_digest_hi_ = digest_spec(spec_, 0xcbf29ce484222325ull);
-  spec_digest_lo_ = digest_spec(spec_, 0x84222325cbf29ce4ull);
+  spec_digest_hi_ = digest_spec(spec_, kBasisHi);
+  spec_digest_lo_ = digest_spec(spec_, kBasisLo);
 }
 
-SubsetSearch::~SubsetSearch() = default;
+SubsetSearch::SubsetSearch(const JobSpec& spec)
+    : SubsetSearch(spec, std::make_shared<const SearchContext>(spec)) {}
 
 CandidateKey SubsetSearch::candidate_key(std::uint64_t index) const {
   CandidateKey key;
@@ -125,54 +134,32 @@ CandidateKey SubsetSearch::candidate_key(std::uint64_t index) const {
   return key;
 }
 
-CandidateOutcome SubsetSearch::evaluate(std::uint64_t index) {
+CandidateOutcome SubsetSearch::evaluate(std::uint64_t index) const {
+  const SearchContext& context = *context_;
   la::Matrix targets = sampling::latin_hypercube_candidate(
-      spec_.target_size, normalized_.cols(), spec_.seed, index);
+      spec_.target_size, context.normalized.cols(), spec_.seed, index);
   // Quantile-map each unit-cube coordinate through the suite's own
   // per-counter distribution (paper Section IV-C; see select_lhs).
   for (std::size_t c = 0; c < targets.cols(); ++c) {
     for (std::size_t t = 0; t < targets.rows(); ++t) {
-      targets(t, c) = cdfs_[c].quantile(targets(t, c));
+      targets(t, c) = context.cdfs[c].quantile(targets(t, c));
     }
   }
-  auto picked = sampling::match_nearest_distinct(targets, normalized_);
+  auto picked = sampling::match_nearest_distinct(targets, context.normalized);
   std::sort(picked.begin(), picked.end());
 
   CandidateOutcome outcome;
   outcome.indices.assign(picked.begin(), picked.end());
   for (std::size_t i : picked) {
-    outcome.names.push_back(suite_.workload_names()[i]);
+    outcome.names.push_back(context.suite.workload_names()[i]);
   }
 
-  // Score full suite and subset together so coverage/spread share the
-  // joint normalization; the workspace re-serves the full suite's DTW
-  // matrix across every candidate (core::generate_subset's layout).
-  auto both = engine_->score_suites(
-      {suite_, suite_.select_workloads(picked)}, workspace_);
-  const auto& full = both[0];
-  const auto& subset = both[1];
-
-  const auto deviation = [](double sub, double whole) {
-    if (whole == 0.0) return 0.0;
-    return 100.0 * std::abs(sub - whole) / std::abs(whole);
-  };
-  outcome.per_score_deviation_pct = {
-      deviation(subset.cluster, full.cluster),
-      deviation(subset.trend, full.trend),
-      deviation(subset.coverage, full.coverage),
-      deviation(subset.spread, full.spread),
-  };
-  const std::vector<double> fulls = {full.cluster, full.trend, full.coverage,
-                                     full.spread};
-  double total = 0.0;
-  std::size_t counted = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (fulls[i] == 0.0) continue;  // metric skipped (e.g. no series)
-    total += outcome.per_score_deviation_pct[i];
-    ++counted;
-  }
-  outcome.deviation_pct =
-      counted == 0 ? 0.0 : total / static_cast<double>(counted);
+  const core::SuiteScores subset =
+      context.engine.score_subset(context.full, picked, context.workspace);
+  core::ScoreDeviation deviation =
+      core::score_deviation(context.full.scores, subset);
+  outcome.per_score_deviation_pct = std::move(deviation.per_score_pct);
+  outcome.deviation_pct = deviation.mean_pct;
   return outcome;
 }
 

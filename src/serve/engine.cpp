@@ -23,8 +23,6 @@
 #include "par/parallel.hpp"
 #include "par/thread_pool.hpp"
 #include "serve/protocol.hpp"
-#include "sim/machine_config.hpp"
-#include "sim/simulator.hpp"
 #include "suites/suite_factory.hpp"
 
 namespace perspector::serve {
@@ -106,14 +104,6 @@ ScoreResponse error_response(const std::string& id, std::string error,
   return response;
 }
 
-core::EventGroup event_group_by_name(const std::string& name) {
-  if (name == "all") return core::EventGroup::all();
-  if (name == "llc") return core::EventGroup::llc();
-  if (name == "tlb") return core::EventGroup::tlb();
-  if (name == "branch") return core::EventGroup::branch();
-  throw std::runtime_error("unknown event group '" + name + "'");
-}
-
 MutateResponse mutate_error(const MutateRequest& request, std::string error,
                             std::string message) {
   MutateResponse response;
@@ -134,18 +124,6 @@ bool is_event_group(const std::string& name) {
 
 bool is_builtin_suite(const std::string& name) {
   return suites::is_builtin_suite(name);
-}
-
-core::CounterMatrix simulate_builtin(const std::string& name,
-                                     std::uint64_t instructions) {
-  suites::SuiteBuildOptions build;
-  build.instructions_per_workload = instructions;
-  const sim::SuiteSpec spec = suites::suite_by_name(name, build);
-  // Identical to cmd_demo: ~100 samples per workload, floor of 1.
-  sim::SimOptions sim_options;
-  sim_options.sample_interval = std::max<std::uint64_t>(instructions / 100, 1);
-  return core::collect_counters(spec, sim::MachineConfig::xeon_e2186g(),
-                                sim_options);
 }
 
 Engine::Engine(EngineOptions options)
@@ -291,7 +269,7 @@ std::shared_ptr<const core::CounterMatrix> Engine::resolve_data(
   obs::Span span("serve.simulate");
   obs::LatencyTimer timer(simulate_latency_histogram());
   auto data = std::make_shared<const core::CounterMatrix>(
-      simulate_builtin(request.builtin, request.instructions));
+      core::simulate_builtin(request.builtin, request.instructions));
   std::lock_guard<std::mutex> lock(suite_mutex_);
   for (const auto& [k, existing] : suites_) {
     if (k == key) return existing;
@@ -338,7 +316,7 @@ ScoreResponse Engine::compute_with(const ScoreRequest& request,
     // event filter, core::suite_report on the *unfiltered* data — the
     // same call sequence cmd_score/cmd_demo make.
     core::PerspectorOptions scoring;
-    scoring.events = event_group_by_name(request.events);
+    scoring.events = core::event_group_by_name(request.events);
     obs::Span span("serve.score");
     const auto scores =
         core::Perspector(scoring).score_suites({data}, workspace).front();
@@ -768,7 +746,7 @@ MutateResponse Engine::mutate_inner(const MutateRequest& request) {
   if (!resident->workspace->trend_primed()) resident->events = request.events;
   if (resident->workspace->trend_usable()) {
     try {
-      const auto group = event_group_by_name(resident->events);
+      const auto group = core::event_group_by_name(resident->events);
       std::optional<core::CounterMatrix> filtered;
       const core::CounterMatrix* view = &*next;
       if (!group.is_all()) {

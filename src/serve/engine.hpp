@@ -210,12 +210,8 @@ class Engine : public ScoreBackend {
 /// True when `name` names a built-in suite model.
 bool is_builtin_suite(const std::string& name);
 
-/// Simulates a built-in suite exactly like `perspector demo`: equal
-/// instruction budgets, sample interval = instructions/100 (min 1), the
-/// Xeon E-2186G machine model. Throws std::runtime_error on an unknown
-/// name.
-core::CounterMatrix simulate_builtin(const std::string& name,
-                                     std::uint64_t instructions);
+/// The built-in simulation every layer shares (core::simulate_builtin).
+using core::simulate_builtin;
 
 /// True when `name` is a recognized event-group name (all/llc/tlb/branch).
 bool is_event_group(const std::string& name);

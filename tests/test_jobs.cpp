@@ -1,17 +1,24 @@
 // jobs:: — the async subset-search subsystem: id derivation, checkpoint
 // codec, checkpoint-log corruption recovery, scheduler lifecycle,
-// fair-share admission, cross-job candidate dedupe, and the resume
-// invariant (a killed-and-resumed job's final subset is byte-identical
-// to an uninterrupted run at any thread count).
+// fair-share admission, cross-job candidate dedupe, shared search
+// contexts, subset-only scoring against a direct joint re-score, and the
+// resume invariant (a killed-and-resumed job's final subset is
+// byte-identical to an uninterrupted run at any thread count).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "core/counter_matrix.hpp"
+#include "core/event_group.hpp"
+#include "core/io.hpp"
+#include "core/perspector.hpp"
 #include "jobs/checkpoint.hpp"
 #include "jobs/job.hpp"
 #include "jobs/scheduler.hpp"
@@ -567,4 +574,178 @@ TEST(JobScheduler, TerminalStateSurvivesRestart) {
   EXPECT_TRUE(status->resumed);
   EXPECT_EQ(status->best, best);
   EXPECT_FALSE(restarted.runnable());
+}
+
+// ---- subset-only scoring ----------------------------------------------------
+
+namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The suite a spec names, resolved without jobs:: code.
+core::CounterMatrix direct_suite(const JobSpec& spec) {
+  if (!spec.builtin.empty()) {
+    return core::simulate_builtin(spec.builtin, spec.instructions);
+  }
+  if (!spec.series_text.empty()) {
+    return core::read_with_series_csv_text(spec.csv_name, spec.csv_text,
+                                           spec.series_text);
+  }
+  return core::read_aggregates_csv_text(spec.csv_name, spec.csv_text);
+}
+
+/// Every candidate of `spec` must equal, bit for bit, a direct joint
+/// score_suites({full, subset}) of the rows it picked: the four per-score
+/// deviations, their mean and the names.
+void expect_matches_joint_rescore(const JobSpec& spec) {
+  const core::CounterMatrix full = direct_suite(spec);
+  core::PerspectorOptions options;
+  options.events = core::event_group_by_name(spec.events);
+  options.compute_trend = full.has_series();
+  const core::Perspector engine(options);
+
+  const jobs::SubsetSearch search(spec);
+  for (std::uint64_t i = 0; i < spec.candidates; ++i) {
+    SCOPED_TRACE("candidate " + std::to_string(i));
+    const jobs::CandidateOutcome outcome = search.evaluate(i);
+    const std::vector<std::size_t> rows(outcome.indices.begin(),
+                                        outcome.indices.end());
+    const auto both = engine.score_suites({full, full.select_workloads(rows)});
+    const double fulls[] = {both[0].cluster, both[0].trend, both[0].coverage,
+                            both[0].spread};
+    const double subsets[] = {both[1].cluster, both[1].trend,
+                              both[1].coverage, both[1].spread};
+    ASSERT_EQ(outcome.per_score_deviation_pct.size(), 4u);
+    double total = 0.0;
+    std::size_t counted = 0;
+    for (std::size_t k = 0; k < 4; ++k) {
+      const double expected =
+          fulls[k] == 0.0
+              ? 0.0
+              : 100.0 * std::abs(subsets[k] - fulls[k]) / std::abs(fulls[k]);
+      EXPECT_EQ(bits(outcome.per_score_deviation_pct[k]), bits(expected))
+          << "score " << k;
+      if (fulls[k] != 0.0) {
+        total += expected;
+        ++counted;
+      }
+    }
+    const double mean =
+        counted == 0 ? 0.0 : total / static_cast<double>(counted);
+    EXPECT_EQ(bits(outcome.deviation_pct), bits(mean));
+    std::vector<std::string> names;
+    for (std::size_t row : rows) names.push_back(full.workload_names()[row]);
+    EXPECT_EQ(outcome.names, names);
+  }
+}
+
+JobSpec spec17_spec(const std::string& events) {
+  JobSpec spec;
+  spec.builtin = "spec17";
+  spec.instructions = 4000;
+  spec.events = events;
+  spec.target_size = 8;
+  spec.candidates = 6;
+  spec.seed = 3;
+  return spec;
+}
+
+JobSpec uploaded_spec(bool with_series) {
+  const core::CounterMatrix data = core::simulate_builtin("lmbench", 3000);
+  JobSpec spec;
+  spec.csv_name = "uploaded.csv";
+  spec.csv_text = core::write_aggregates_csv_text(data);
+  if (with_series) spec.series_text = core::write_series_csv_text(data);
+  spec.target_size = 5;
+  spec.candidates = 6;
+  spec.seed = 11;
+  return spec;
+}
+
+}  // namespace
+
+TEST(SubsetSearchOracle, Spec17AllEventsMatchesJointRescore) {
+  expect_matches_joint_rescore(spec17_spec("all"));
+}
+
+TEST(SubsetSearchOracle, Spec17LlcEventsMatchesJointRescore) {
+  expect_matches_joint_rescore(spec17_spec("llc"));
+}
+
+TEST(SubsetSearchOracle, UploadedCsvWithSeriesMatchesJointRescore) {
+  expect_matches_joint_rescore(uploaded_spec(true));
+}
+
+TEST(SubsetSearchOracle, AggregatesOnlyCsvSkipsTrendAndMatches) {
+  const JobSpec spec = uploaded_spec(false);
+  expect_matches_joint_rescore(spec);
+  const jobs::SubsetSearch search(spec);
+  EXPECT_EQ(search.evaluate(0).per_score_deviation_pct[1], 0.0);
+}
+
+// ---- shared search contexts ------------------------------------------------
+
+TEST(JobContexts, JobsOnOneSuiteSimulatePrimeAndScoreItOnce) {
+  // Different seeds and sizes, same suite: one simulation (nbench has 10
+  // workloads), one prime, one context between them.
+  auto& workloads = obs::counter("sim.workloads");
+  auto& primes = obs::counter("cache.primes");
+  auto& hits = obs::counter("jobs.context_hits");
+  auto& misses = obs::counter("jobs.context_misses");
+  const auto workloads_before = workloads.value();
+  const auto primes_before = primes.value();
+  const auto hits_before = hits.value();
+  const auto misses_before = misses.value();
+
+  Scheduler scheduler({});
+  JobSpec first = small_spec(8, 101);
+  JobSpec second = small_spec(8, 202);
+  second.target_size = 6;
+  ASSERT_TRUE(scheduler.submit(first).ok);
+  ASSERT_TRUE(scheduler.submit(second).ok);
+  scheduler.drain();
+
+  EXPECT_EQ(workloads.value() - workloads_before, 10u);
+  EXPECT_EQ(primes.value() - primes_before, 1u);
+  EXPECT_EQ(misses.value() - misses_before, 1u);
+  EXPECT_EQ(hits.value() - hits_before, 1u);
+  for (const auto& status : scheduler.list()) {
+    EXPECT_EQ(status.state, JobState::Done);
+  }
+}
+
+TEST(JobContexts, EventsAndInstructionsKeyTheirOwnContexts) {
+  auto& misses = obs::counter("jobs.context_misses");
+  const auto misses_before = misses.value();
+  Scheduler scheduler({});
+  JobSpec base = small_spec(4, 5);
+  JobSpec llc = base;
+  llc.events = "llc";
+  JobSpec longer = base;
+  longer.instructions = base.instructions + 1000;
+  ASSERT_TRUE(scheduler.submit(base).ok);
+  ASSERT_TRUE(scheduler.submit(llc).ok);
+  ASSERT_TRUE(scheduler.submit(longer).ok);
+  scheduler.drain();
+  EXPECT_EQ(misses.value() - misses_before, 3u);
+  // Each shared result still equals its own synchronous search.
+  for (const JobSpec& spec : {base, llc, longer}) {
+    const auto status = scheduler.status(jobs::derive_job_id(spec));
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->best, jobs::run_search(spec));
+  }
+}
+
+TEST(JobContexts, TwoSchedulersShareNothing) {
+  auto& workloads = obs::counter("sim.workloads");
+  auto& misses = obs::counter("jobs.context_misses");
+  const auto workloads_before = workloads.value();
+  const auto misses_before = misses.value();
+  for (int i = 0; i < 2; ++i) {
+    Scheduler scheduler({});
+    ASSERT_TRUE(scheduler.submit(small_spec(4, 9)).ok);
+    scheduler.drain();
+  }
+  EXPECT_EQ(misses.value() - misses_before, 2u);
+  EXPECT_EQ(workloads.value() - workloads_before, 20u);
 }

@@ -359,9 +359,9 @@ int cmd_demo(const Args& args) {
   const std::string name = args.get("suite").value_or("nbench");
   std::cerr << "simulating " << name << " (" << instructions
             << " instructions per workload)...\n";
-  // The same helper the serving engine uses, so `demo` and a served
-  // built-in request are byte-identical by construction.
-  const auto data = serve::simulate_builtin(name, instructions);
+  // The same helper the serving engine and jobs use, so `demo` and a
+  // served built-in request are byte-identical by construction.
+  const auto data = core::simulate_builtin(name, instructions);
   const auto scores = core::Perspector().score_suite(data);
   std::cout << core::suite_report(data, scores);
   return 0;
@@ -385,11 +385,11 @@ std::string read_file(const std::string& path) {
 }
 
 core::EventGroup event_group(const std::string& name) {
-  if (name == "all") return core::EventGroup::all();
-  if (name == "llc") return core::EventGroup::llc();
-  if (name == "tlb") return core::EventGroup::tlb();
-  if (name == "branch") return core::EventGroup::branch();
-  throw UsageError("unknown event group '" + name + "'");
+  try {
+    return core::event_group_by_name(name);
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(e.what());
+  }
 }
 
 int cmd_score(const Args& args) {
