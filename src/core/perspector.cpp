@@ -46,6 +46,8 @@ std::vector<SuiteScores> Perspector::score_suites(
   for (std::size_t i = 0; i < filtered.size(); ++i) {
     prime(filtered[i], workspace);
     results.push_back(score_normalized(filtered[i], normalized[i], workspace));
+    workspace.record_cluster(filtered[i].values(), options_.cluster,
+                             results.back().cluster_detail);
   }
   return results;
 }
@@ -65,6 +67,8 @@ ScoredReference Perspector::score_reference(const CounterMatrix& suite,
   prime(reference.filtered, workspace);
   reference.scores =
       score_normalized(reference.filtered, normalized, workspace);
+  workspace.record_cluster(reference.filtered.values(), options_.cluster,
+                           reference.scores.cluster_detail);
   return reference;
 }
 
@@ -109,7 +113,14 @@ SuiteScores Perspector::score_normalized(
 
   {
     obs::Span phase("cluster_score");
-    s.cluster_detail = cluster_score(filtered, options_.cluster);
+    // ClusterScore reads only the aggregates: a memo hit is the result of
+    // this exact matrix and these options (scoring_workspace.hpp).
+    if (auto memo =
+            workspace.find_cluster(filtered.values(), options_.cluster)) {
+      s.cluster_detail = std::move(*memo);
+    } else {
+      s.cluster_detail = cluster_score(filtered, options_.cluster);
+    }
     s.cluster = s.cluster_detail.score;
   }
 

@@ -118,7 +118,9 @@ class Perspector {
   /// The per-suite step: the four scores of an event-filtered suite whose
   /// values were normalized under the joint ranges to `normalized`. Trend
   /// is a cache lookup when `workspace` holds a suite this one is a
-  /// row-view of, and computed directly otherwise.
+  /// row-view of, and ClusterScore when its memo holds these aggregates;
+  /// both are computed directly otherwise. Only score_suites and
+  /// score_reference record into the memo.
   SuiteScores score_normalized(const CounterMatrix& filtered,
                                const la::Matrix& normalized,
                                const ScoringWorkspace& workspace) const;

@@ -1,5 +1,8 @@
 #include "core/scoring_workspace.hpp"
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -105,7 +108,7 @@ bool ScoringWorkspace::upsert_row(const CounterMatrix& suite, std::size_t row,
   obs::Span span("cache.delta_upsert");
 
   const std::size_t m = counters_.size();
-  const std::size_t r = trends_.size() / m;  // the new primed row's index
+  const std::string& name = suite.workload_names()[row];
 
   // Fresh normalized trends for the (re)computed workload.
   std::vector<std::vector<double>> fresh(m);
@@ -114,23 +117,34 @@ bool ScoringWorkspace::upsert_row(const CounterMatrix& suite, std::size_t row,
                                     options_.normalization);
   });
 
-  // Live rows in name-sorted (deterministic) order; rows superseded or
-  // dropped earlier stay allocated but get no new distances.
+  // Every other live row, in name-sorted (deterministic) order; a known
+  // name keeps its slot and skips its own stale version.
+  const auto known = row_by_name_.find(name);
   std::vector<std::size_t> live;
   live.reserve(row_by_name_.size());
-  for (const auto& [name, index] : row_by_name_) live.push_back(index);
-
-  // Grow each per-counter matrix by one row/column (diagonal stays 0).
-  for (la::Matrix& d : per_counter_) {
-    la::Matrix grown(r + 1, r + 1, 0.0);
-    for (std::size_t i = 0; i < r; ++i) {
-      for (std::size_t j = 0; j < r; ++j) grown(i, j) = d(i, j);
+  for (const auto& [other, index] : row_by_name_) {
+    if (known == row_by_name_.end() || index != known->second) {
+      live.push_back(index);
     }
-    d = std::move(grown);
   }
 
-  // One DTW strip — the new row against every live row, all counters — as
-  // a single parallel region; task t writes only its own (j, r)/(r, j).
+  std::size_t r = 0;
+  if (known != row_by_name_.end()) {
+    r = known->second;
+  } else if (!free_slots_.empty()) {
+    r = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    // A new high of live rows (no slot is free, so every slot is live):
+    // grow by one slot.
+    r = trends_.size() / m;
+    std::vector<std::size_t> all(r);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    repack(all, r + 1);
+  }
+
+  // One DTW strip — the row against every other live row, all counters —
+  // as a single parallel region; task t writes only its own (j, r)/(r, j).
   dtw::DtwOptions dtw_options;
   dtw_options.band_fraction = options_.dtw_band_fraction;
   const std::size_t k = live.size();
@@ -143,9 +157,8 @@ bool ScoringWorkspace::upsert_row(const CounterMatrix& suite, std::size_t row,
     per_counter_[c](r, j) = dist;
   });
 
-  trends_.reserve(trends_.size() + m);
-  for (std::size_t c = 0; c < m; ++c) trends_.push_back(std::move(fresh[c]));
-  row_by_name_.insert_or_assign(suite.workload_names()[row], r);
+  for (std::size_t c = 0; c < m; ++c) trends_[r * m + c] = std::move(fresh[c]);
+  row_by_name_.insert_or_assign(name, r);
   upserts.increment();
   return true;
 }
@@ -156,9 +169,53 @@ bool ScoringWorkspace::remove_row(const std::string& workload) {
     return false;
   }
   static obs::Counter& drops = obs::counter("cache.delta_drops");
-  if (row_by_name_.erase(workload) == 0) return false;
+  const auto it = row_by_name_.find(workload);
+  if (it == row_by_name_.end()) return false;
+  const std::size_t slot = it->second;
+  row_by_name_.erase(it);
+  const std::size_t m = counters_.size();
+  for (std::size_t c = 0; c < m; ++c) {
+    std::vector<double>().swap(trends_[slot * m + c]);
+  }
+  free_slots_.push_back(slot);
+  if (free_slots_.size() >= row_by_name_.size()) {
+    // Compact: the live slots, in ascending order, become slots 0..n-1.
+    std::vector<std::size_t> live;
+    live.reserve(row_by_name_.size());
+    for (const auto& [name, index] : row_by_name_) live.push_back(index);
+    std::sort(live.begin(), live.end());
+    repack(live, live.size());
+    for (auto& [name, index] : row_by_name_) {
+      index = static_cast<std::size_t>(
+          std::lower_bound(live.begin(), live.end(), index) - live.begin());
+    }
+    free_slots_.clear();
+  }
   drops.increment();
   return true;
+}
+
+void ScoringWorkspace::repack(const std::vector<std::size_t>& keep,
+                              std::size_t slots) {
+  static obs::Counter& copied = obs::counter("cache.delta_cells_copied");
+  const std::size_t m = counters_.size();
+  const std::size_t n = keep.size();
+  for (la::Matrix& d : per_counter_) {
+    la::Matrix packed(slots, slots, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) packed(i, j) = d(keep[i], keep[j]);
+    }
+    d = std::move(packed);
+  }
+  copied.add(m * n * n);
+
+  std::vector<std::vector<double>> packed_trends(slots * m);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < m; ++c) {
+      packed_trends[i * m + c] = std::move(trends_[keep[i] * m + c]);
+    }
+  }
+  trends_ = std::move(packed_trends);
 }
 
 bool ScoringWorkspace::map_rows(const CounterMatrix& suite,
@@ -228,6 +285,48 @@ TrendScoreResult ScoringWorkspace::trend_score_from_cache(
   for (double t_score : result.per_event) total += t_score;
   result.score = total / static_cast<double>(m);  // Eq. 8
   return result;
+}
+
+std::optional<ClusterScoreResult> ScoringWorkspace::find_cluster(
+    const la::Matrix& values, const ClusterScoreOptions& options) const {
+  static obs::Counter& hits = obs::counter("cache.cluster_hits");
+  static obs::Counter& misses = obs::counter("cache.cluster_misses");
+  const std::span<const double> data = values.data();
+  std::lock_guard<std::mutex> lock(cluster_mutex_);
+  const ClusterMemo& memo = cluster_memo_;
+  if (memo.valid && memo.rows == values.rows() && memo.cols == values.cols() &&
+      memo.options.kmeans_restarts == options.kmeans_restarts &&
+      memo.options.kmeans_max_iters == options.kmeans_max_iters &&
+      memo.options.seed == options.seed &&
+      (data.empty() ||
+       std::memcmp(memo.values.data(), data.data(),
+                   data.size() * sizeof(double)) == 0)) {
+    hits.increment();
+    return memo.result;
+  }
+  misses.increment();
+  return std::nullopt;
+}
+
+void ScoringWorkspace::record_cluster(const la::Matrix& values,
+                                      const ClusterScoreOptions& options,
+                                      const ClusterScoreResult& result) {
+  const std::span<const double> data = values.data();
+  std::lock_guard<std::mutex> lock(cluster_mutex_);
+  cluster_memo_.valid = true;
+  cluster_memo_.rows = values.rows();
+  cluster_memo_.cols = values.cols();
+  cluster_memo_.values.assign(data.begin(), data.end());
+  cluster_memo_.options = options;
+  cluster_memo_.result = result;
+}
+
+std::size_t ScoringWorkspace::resident_bytes() const {
+  std::lock_guard<std::mutex> lock(prime_mutex_);
+  std::size_t cells = 0;
+  for (const la::Matrix& d : per_counter_) cells += d.rows() * d.cols();
+  for (const std::vector<double>& trend : trends_) cells += trend.size();
+  return cells * sizeof(double);
 }
 
 }  // namespace perspector::core

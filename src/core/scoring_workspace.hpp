@@ -31,18 +31,43 @@
 // after trend_primed() observes the publication. Perspector primes on the
 // first scored suite, so stability's parallel resamples only ever read.
 //
-// Observability: `cache.primes`, `cache.hits`, `cache.misses` (exposed via
-// --metrics like every obs counter).
+// Row slots: the matrices hold one slot per live workload plus a LIFO
+// list of free slots. An upsert of a known name overwrites its slot in
+// place; a new name takes a free slot, and the matrices grow (one copy)
+// only when the live count reaches a new high. A drop frees its slot, and
+// once free slots reach the live count the live distances and trends are
+// copied into live-sized matrices (compaction). Nothing is recomputed, so
+// slot bookkeeping cannot change a bit, and residency stays under 4x the
+// live-only size however many mutations the workspace has seen.
+//
+// ClusterScore memo: ClusterScore (Eq. 1-6) reads only the aggregate
+// matrix, so one slot remembers the last ClusterScoreResult together with
+// its key: the filtered aggregate matrix (shape and doubles, compared
+// bitwise with memcmp, so row order, -0.0 and NaN payloads all count) and
+// every ClusterScoreOptions field. cluster_score is a pure function of
+// exactly that key, so a hit returns the bits a recompute would. A mutex
+// guards the slot: stability's bootstrap resamples score in parallel on
+// one shared workspace, and a hit's bits do not depend on which
+// resample recorded last.
+//
+// Observability: `cache.primes`, `cache.hits`, `cache.misses` (trend
+// lookups); `cache.cluster_hits`, `cache.cluster_misses` (ClusterScore
+// memo lookups); `cache.delta_upserts`, `cache.delta_drops` and
+// `cache.delta_cells_copied` (matrix cells copied by grows and
+// compactions) for the delta ops. All are exposed via --metrics like
+// every obs counter.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/cluster_score.hpp"
 #include "core/counter_matrix.hpp"
 #include "core/trend_score.hpp"
 #include "la/matrix.hpp"
@@ -76,19 +101,19 @@ class ScoringWorkspace {
 
   /// Incrementally extends the primed cache with workload `row` of the
   /// mutated suite `suite`: normalizes its m trends and computes one DTW
-  /// strip against every *live* primed row — O(n·m) dynamic programs
+  /// strip against every other *live* row — O(n·m) dynamic programs
   /// instead of the O(n²·m) of a cold re-prime. An existing workload of
-  /// the same name is superseded: its old row stays allocated but becomes
-  /// unreachable (stale rows are never compacted; residency is bounded by
-  /// mutation count, not suite size). Returns false without mutating
-  /// anything when the cache is unusable or `suite` is incompatible
-  /// (different counters or options, no series, row out of range).
+  /// the same name is overwritten in its own slot (the strip skips the
+  /// stale version); a new name takes a freed slot, or grows the matrices
+  /// by one when none is free. Returns false without mutating anything
+  /// when the cache is unusable or `suite` is incompatible (different
+  /// counters or options, no series, row out of range).
   ///
   /// Invariant kept inductively: every pair of live rows always has a
   /// populated distance — a drop only shrinks the live set, and an upsert
-  /// pairs the new row with every current live row. Slicing therefore
-  /// stays bit-exact after any add/drop/append sequence (DTW symmetry
-  /// makes the strip's argument order irrelevant, see the file comment).
+  /// pairs its row with every other live row. Slicing therefore stays
+  /// bit-exact after any add/drop/append sequence (DTW symmetry makes the
+  /// strip's argument order irrelevant, see the file comment).
   ///
   /// Unlike the write-once prime, delta ops mutate shared state: callers
   /// must externally serialize them against concurrent map_rows /
@@ -97,8 +122,9 @@ class ScoringWorkspace {
   bool upsert_row(const CounterMatrix& suite, std::size_t row,
                   const TrendScoreOptions& options);
 
-  /// Unmaps `workload` from the primed cache (mask, not compaction — the
-  /// row's trends and distances stay allocated but unreachable). Returns
+  /// Unmaps `workload` from the primed cache and frees its slot for the
+  /// next new name. When free slots reach the live count, the live rows
+  /// are compacted into live-sized matrices (copies, no DTW). Returns
   /// false when the cache is unusable or the name is unknown. Same
   /// external-synchronization contract as upsert_row.
   bool remove_row(const std::string& workload);
@@ -115,13 +141,28 @@ class ScoringWorkspace {
   TrendScoreResult trend_score_from_cache(
       std::span<const std::size_t> rows) const;
 
-  /// Cached pairwise DTW matrix of counter `c` (testing / diagnostics).
-  const la::Matrix& trend_distances(std::size_t c) const {
-    return per_counter_.at(c);
-  }
+  /// The memoized ClusterScoreResult of `values` under `options`, if the
+  /// memo slot holds exactly that key (bitwise); nullopt otherwise.
+  std::optional<ClusterScoreResult> find_cluster(
+      const la::Matrix& values, const ClusterScoreOptions& options) const;
+
+  /// Records `result` as the ClusterScore of `values` under `options`,
+  /// replacing whatever the memo slot held.
+  void record_cluster(const la::Matrix& values,
+                      const ClusterScoreOptions& options,
+                      const ClusterScoreResult& result);
+
+  /// Bytes held by the trend cache: every per-counter distance matrix
+  /// (free slots included) plus the live normalized trends.
+  std::size_t resident_bytes() const;
 
  private:
-  std::mutex prime_mutex_;
+  /// Moves slot keep[i]'s distances and trends to slot i of fresh
+  /// `slots`-sized matrices (copies, no DTW; the other slots start empty).
+  /// Caller holds prime_mutex_ and renumbers row_by_name_.
+  void repack(const std::vector<std::size_t>& keep, std::size_t slots);
+
+  mutable std::mutex prime_mutex_;
   std::atomic<bool> trend_primed_{false};
   bool trend_usable_ = false;
 
@@ -134,8 +175,23 @@ class ScoringWorkspace {
   /// Normalized trend of primed workload w, counter c at [w * m + c] —
   /// kept for map_rows' element-wise verification.
   std::vector<std::vector<double>> trends_;
-  /// Per-counter n x n pairwise DTW distance matrices.
+  /// Per-counter slots x slots pairwise DTW distance matrices. Entries
+  /// that involve a free slot are stale and never read.
   std::vector<la::Matrix> per_counter_;
+  /// Freed slots, reused last-freed first.
+  std::vector<std::size_t> free_slots_;
+
+  /// The ClusterScore memo's one slot.
+  struct ClusterMemo {
+    bool valid = false;
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+    std::vector<double> values;
+    ClusterScoreOptions options;
+    ClusterScoreResult result;
+  };
+  mutable std::mutex cluster_mutex_;
+  ClusterMemo cluster_memo_;
 };
 
 }  // namespace perspector::core

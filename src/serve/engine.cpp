@@ -224,7 +224,20 @@ std::string Engine::metrics_line(const std::string& id) {
 }
 
 std::string Engine::stats_line(const std::string& id) {
-  return serialize_stats(id);
+  // Snapshot the residents first: resident_bytes() takes the workspace's
+  // own lock, which a long upsert may hold.
+  std::vector<std::pair<std::string, std::shared_ptr<ResidentSuite>>> suites;
+  {
+    std::lock_guard<std::mutex> lock(resident_mutex_);
+    suites.assign(residents_.begin(), residents_.end());
+  }
+  ResidentBytes resident;
+  resident.result_cache_bytes = cache_.bytes_used();
+  for (const auto& [name, suite] : suites) {
+    resident.workspace_bytes.emplace_back(name,
+                                          suite->workspace->resident_bytes());
+  }
+  return serialize_stats(id, &resident);
 }
 
 std::string Engine::shard_stats_line(const std::string& id) {
@@ -739,7 +752,7 @@ MutateResponse Engine::mutate_inner(const MutateRequest& request) {
   }
 
   // Incremental workspace maintenance: one DTW strip per touched row
-  // (upsert) or a name mask (drop) — never a cold O(n^2) re-prime. A
+  // (upsert) or a freed slot (drop) — never a cold O(n^2) re-prime. A
   // declined upsert (workspace primed under a different filter than
   // this suite's) is harmless: map_rows verifies normalized trends
   // element-wise, so a stale row can only miss, never serve wrong bits.

@@ -39,6 +39,9 @@
 // Thread-safety: score() and score_batch() may be called from any number
 // of threads concurrently.
 //
+// The stats op adds a `resident` object: the result cache's bytes and
+// each resident suite's ScoringWorkspace::resident_bytes().
+//
 // Counters: serve.requests, serve.cache_hit, serve.cache_miss,
 // serve.durable_hit, serve.coalesced, serve.batched, serve.errors,
 // serve.cache_evictions, plus the serve.request_us latency distribution
@@ -109,9 +112,11 @@ class Engine : public ScoreBackend {
   /// Applies one live-suite mutation (load/add/drop/append; DESIGN.md
   /// section 14) and returns the mutated suite's re-score. The resident
   /// suite keeps its own ScoringWorkspace: add_workload and
-  /// append_samples extend its primed pairwise-DTW matrices by one DTW
-  /// strip per touched workload (ScoringWorkspace::upsert_row) and
-  /// drop_workload masks a row — never a cold O(n^2) re-prime. The
+  /// append_samples recompute one DTW strip per touched workload in
+  /// that workload's row slot (ScoringWorkspace::upsert_row) and
+  /// drop_workload frees a slot — never a cold O(n^2) re-prime. Its
+  /// ClusterScore memo makes an append_samples re-score skip the k-means
+  /// sweep, since appended samples leave the aggregates unchanged. The
   /// response report is byte-identical to a cold score of the mutated
   /// content, and the result cache is keyed by that content's digest, so
   /// an add→drop round-trip is an honest cache hit. A score request

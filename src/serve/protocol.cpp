@@ -645,11 +645,26 @@ std::string serialize_metrics(const std::string& id) {
   return out;
 }
 
-std::string serialize_stats(const std::string& id) {
+std::string serialize_stats(const std::string& id,
+                            const ResidentBytes* resident) {
   std::string out = "{";
   append_id(out, id);
   out += "\"ok\":true,";
   append_histograms(out);
+  if (resident != nullptr) {
+    out += ",\"resident\":{\"result_cache_bytes\":";
+    append_u64(out, resident->result_cache_bytes);
+    out += ",\"workspace_bytes\":{";
+    bool first = true;
+    for (const auto& [suite, bytes] : resident->workspace_bytes) {
+      if (!first) out += ',';
+      first = false;
+      json::append_quoted(out, suite);
+      out += ':';
+      append_u64(out, bytes);
+    }
+    out += "}}";
+  }
   out += "}\n";
   return out;
 }

@@ -63,8 +63,14 @@
 //    "histograms":{"serve.request.latency":{"p50":...,...}}}  (metrics)
 //   {"ok":true,"histograms":{"serve.request.latency":
 //    {"count":3,"min":...,"max":...,"mean":...,
-//     "p50":...,"p90":...,"p99":...,"p999":...},...}}         (stats)
+//     "p50":...,"p90":...,"p99":...,"p999":...},...},
+//    "resident":{"result_cache_bytes":...,
+//     "workspace_bytes":{"live":...}}}                         (stats)
 //   {"ok":true,"shutting_down":true}                          (shutdown)
+//
+// `resident` is the single-process engine's memory: the result cache's
+// bytes and each resident live suite's ScoringWorkspace bytes. A router
+// omits it (its workers hold the suites).
 //
 // `trace` is the request's 64-bit trace id (16 hex digits), assigned by
 // the server at admission; it also appears in slow-request log lines so
@@ -80,6 +86,7 @@
 #include <map>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -127,10 +134,18 @@ std::string serialize_ping(const std::string& id);
 /// as one JSON object (the CLI --metrics-json flag emits the same bytes).
 std::string serialize_metrics(const std::string& id);
 
+/// Resident memory the `stats` op reports for one engine.
+struct ResidentBytes {
+  std::uint64_t result_cache_bytes = 0;
+  /// (live suite name, its ScoringWorkspace::resident_bytes()), by name.
+  std::vector<std::pair<std::string, std::uint64_t>> workspace_bytes;
+};
+
 /// Full histogram snapshots (count/min/max/mean + p50/p90/p99/p999) for
-/// the `stats` op. Doubles are serialized with %.17g so they round-trip
-/// exactly.
-std::string serialize_stats(const std::string& id);
+/// the `stats` op, plus `resident` when given. Doubles are serialized
+/// with %.17g so they round-trip exactly.
+std::string serialize_stats(const std::string& id,
+                            const ResidentBytes* resident = nullptr);
 
 std::string serialize_shutdown(const std::string& id);
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -179,6 +180,55 @@ TEST(ServeDelta, AppendSamplesRescoreMatchesColdScore) {
   ASSERT_TRUE(response.ok) << response.message;
   EXPECT_EQ(response.version, 2u);
   EXPECT_EQ(response.report, one_shot_report(appended));
+}
+
+TEST(ServeDelta, AppendSamplesReusesTheClusterScoreMemo) {
+  ThreadCountGuard guard;
+  par::set_thread_count(2);
+  const LiveSuiteData d;
+  const core::CounterMatrix loaded =
+      core::read_with_series_csv_text("live", d.base_agg, d.base_ser);
+  const std::string& workload = loaded.workload_names()[1];
+  const std::string& counter = loaded.counter_names()[2];
+  const std::size_t next = loaded.series(1, 2).size();
+  const std::string series = "workload,counter,sample,value\n" + workload +
+                             "," + counter + "," + std::to_string(next) +
+                             ",777.25\n";
+  const core::CounterMatrix appended =
+      core::append_samples_csv_text(loaded, series);
+
+  Engine engine;
+  ASSERT_TRUE(engine.mutate(load_request(d, "l")).ok);
+  MutateRequest append;
+  append.id = "s";
+  append.op = MutateOp::AppendSamples;
+  append.suite = "live";
+  append.series_text = series;
+  const obs::Counter& kmeans = obs::counter("kmeans.calls");
+  const obs::Counter& cluster_hits = obs::counter("cache.cluster_hits");
+  const std::uint64_t kmeans_before = kmeans.value();
+  const std::uint64_t hits_before = cluster_hits.value();
+  const MutateResponse response = engine.mutate(append);
+  ASSERT_TRUE(response.ok) << response.message;
+  EXPECT_FALSE(response.cache_hit);
+  // Appended samples leave the aggregates as they were: ClusterScore is
+  // the memo's, and no k-means runs.
+  EXPECT_EQ(kmeans.value() - kmeans_before, 0u);
+  EXPECT_EQ(cluster_hits.value() - hits_before, 1u);
+
+  // A cold score of the same content sent inline as CSV, on a fresh
+  // engine.
+  ScoreRequest cold;
+  cold.id = "cold";
+  cold.data = std::make_shared<const core::CounterMatrix>(
+      core::read_with_series_csv_text(
+          "live", core::write_aggregates_csv_text(appended),
+          core::write_series_csv_text(appended)));
+  Engine fresh;
+  const ScoreResponse cold_response = fresh.score(cold);
+  ASSERT_TRUE(cold_response.ok) << cold_response.message;
+  EXPECT_FALSE(cold_response.cache_hit);
+  EXPECT_EQ(response.report, cold_response.report);
 }
 
 TEST(ServeDelta, AddDropRoundTripIsAnHonestCacheHit) {

@@ -14,9 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "core/io.hpp"
+#include "core/trend_score.hpp"
 #include "obs/metrics.hpp"
 #include "serve/engine.hpp"
 #include "serve/json.hpp"
+#include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
 namespace perspector::serve {
@@ -322,6 +325,60 @@ TEST(ServeSession, StatsOpReportsLatencyPercentiles) {
     EXPECT_GT(value->number, 0.0) << percentile;
   }
   EXPECT_GE(latency->find("p999")->number, latency->find("p50")->number);
+}
+
+TEST(ServeSession, StatsOpReportsResidentBytes) {
+  obs::reset_metrics();
+  Engine engine;
+  SessionOptions options;
+  // A small live suite: the whole burst must fit the 64 KiB pipe.
+  std::vector<std::string> names;
+  la::Matrix values;
+  std::vector<std::vector<std::vector<double>>> series;
+  for (std::size_t w = 0; w < 6; ++w) {
+    names.push_back("w" + std::to_string(w));
+    std::vector<std::vector<double>> per_counter(2);
+    for (std::size_t t = 0; t < 8; ++t) {
+      per_counter[0].push_back(static_cast<double>((w + 1) * (t % 3)));
+      per_counter[1].push_back(static_cast<double>(w * t + 1));
+    }
+    values.append_row(std::vector<double>{
+        static_cast<double>(w + 1), static_cast<double>(7 * w % 5)});
+    series.push_back(std::move(per_counter));
+  }
+  const core::CounterMatrix suite("live", names, {"c0", "c1"}, values,
+                                  series);
+  MutateRequest load;
+  load.op = MutateOp::LoadSuite;
+  load.suite = "live";
+  load.csv_text = core::write_aggregates_csv_text(suite);
+  load.series_text = core::write_series_csv_text(suite);
+  const SessionRun run = run_over_pipes(
+      engine,
+      score_line("a") + serialize_mutate_request(load) +
+          "{\"id\":\"s\",\"op\":\"stats\"}\n",
+      options);
+  ASSERT_EQ(run.lines.size(), 3u);
+
+  const json::Value stats = json::parse(run.lines[2]);
+  EXPECT_TRUE(stats.find("ok")->boolean);
+  const json::Value* resident = stats.find("resident");
+  ASSERT_NE(resident, nullptr);
+  // Two reports (the nbench score and the load's re-score) are cached.
+  EXPECT_DOUBLE_EQ(resident->find("result_cache_bytes")->number,
+                   static_cast<double>(engine.cache_bytes_used()));
+  EXPECT_GT(engine.cache_bytes_used(), 0u);
+  const json::Value* workspaces = resident->find("workspace_bytes");
+  ASSERT_NE(workspaces, nullptr);
+  const json::Value* live = workspaces->find("live");
+  ASSERT_NE(live, nullptr);
+  // The primed trend cache: m per-counter n x n distance matrices plus
+  // n x m normalized trends of the default grid.
+  const double n = static_cast<double>(suite.num_workloads());
+  const double m = static_cast<double>(suite.num_counters());
+  const double grid =
+      static_cast<double>(core::TrendScoreOptions{}.grid_points);
+  EXPECT_DOUBLE_EQ(live->number, 8.0 * m * (n * n + n * grid));
 }
 
 TEST(ServeSession, MetricsResponseIncludesDistributionsAndHistograms) {

@@ -6,17 +6,26 @@
 // the mutated suite — and a stale superseded row can only ever MISS
 // (map_rows verifies normalized trends element-wise), never serve wrong
 // bits.
+//
+// A soak run checks that row slots are reused, so residency and copy
+// work stay bounded by the live size, not the mutation count. The
+// ClusterScore memo must return bitwise the direct cluster_score, and
+// only for bitwise the same aggregates.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/cluster_score.hpp"
 #include "core/counter_matrix.hpp"
 #include "core/io.hpp"
+#include "core/perspector.hpp"
 #include "core/scoring_workspace.hpp"
 #include "core/trend_score.hpp"
+#include "obs/metrics.hpp"
 #include "stats/rng.hpp"
 
 namespace perspector::core {
@@ -184,6 +193,214 @@ TEST(WorkspaceDelta, PreconditionsReturnFalseWithoutMutating) {
   EXPECT_FALSE(warm.remove_row("nope"));
   // None of the refusals disturbed the cache.
   expect_serves_exactly(warm, suite, options);
+}
+
+/// One workload of the soak suite: a name and its per-counter series.
+struct SoakWorkload {
+  std::string name;
+  std::vector<std::vector<double>> series;
+};
+
+constexpr std::size_t kSoakCounters = 2;
+
+std::vector<std::vector<double>> soak_series(stats::Rng& rng) {
+  std::vector<std::vector<double>> per_counter;
+  for (std::size_t c = 0; c < kSoakCounters; ++c) {
+    std::vector<double> s(12);
+    for (double& v : s) v = rng.uniform(0.0, 60.0);
+    per_counter.push_back(std::move(s));
+  }
+  return per_counter;
+}
+
+CounterMatrix soak_suite(const std::vector<SoakWorkload>& live) {
+  std::vector<std::string> names;
+  la::Matrix values;
+  std::vector<std::vector<std::vector<double>>> series;
+  for (const SoakWorkload& w : live) {
+    names.push_back(w.name);
+    std::vector<double> totals;
+    for (const auto& s : w.series) {
+      double total = 0.0;
+      for (double v : s) total += v;
+      totals.push_back(total);
+    }
+    values.append_row(totals);
+    series.push_back(w.series);
+  }
+  return CounterMatrix("soak", names, {"c0", "c1"}, values, series);
+}
+
+/// Thousands of random add / drop / append upserts, then an add-only
+/// phase (matrix grows) and a drop-to-3 phase (compaction). After every
+/// mutation, resident bytes stay within 4x the live-only size and the
+/// cells copied stay within m·(live+1)²; at checkpoints the warm cache
+/// equals a cold prime of the same suite bit for bit.
+TEST(WorkspaceDelta, SoakKeepsResidencyAndCopiesBoundedByLiveSize) {
+  TrendScoreOptions options;
+  options.grid_points = 16;  // short trends keep the soak fast
+  stats::Rng rng(4242);
+  std::vector<SoakWorkload> live;
+  std::size_t next_name = 0;
+  for (; next_name < 6; ++next_name) {
+    live.push_back({"w" + std::to_string(next_name), soak_series(rng)});
+  }
+  ScoringWorkspace warm;
+  warm.prime_trend(soak_suite(live), options);
+  ASSERT_TRUE(warm.trend_usable());
+  const obs::Counter& copied = obs::counter("cache.delta_cells_copied");
+
+  const auto live_only_bytes = [&] {
+    const std::size_t n = live.size();
+    return sizeof(double) * kSoakCounters * (n * n + n * options.grid_points);
+  };
+  const auto expect_bounded = [&](std::uint64_t copied_before) {
+    const std::size_t n = live.size();
+    EXPECT_LE(warm.resident_bytes(), 4 * live_only_bytes()) << "live=" << n;
+    EXPECT_LE(copied.value() - copied_before,
+              kSoakCounters * (n + 1) * (n + 1))
+        << "live=" << n;
+  };
+  const auto expect_equals_cold = [&] {
+    const CounterMatrix suite = soak_suite(live);
+    ScoringWorkspace cold;
+    cold.prime_trend(suite, options);
+    EXPECT_EQ(cold.resident_bytes(), live_only_bytes());
+    std::vector<std::size_t> warm_rows, cold_rows;
+    ASSERT_TRUE(warm.map_rows(suite, options, warm_rows));
+    ASSERT_TRUE(cold.map_rows(suite, options, cold_rows));
+    expect_trend_bitwise_equal(warm.trend_score_from_cache(warm_rows),
+                               cold.trend_score_from_cache(cold_rows));
+  };
+  const auto add = [&] {
+    const std::uint64_t before = copied.value();
+    live.push_back({"w" + std::to_string(next_name++), soak_series(rng)});
+    ASSERT_TRUE(warm.upsert_row(soak_suite(live), live.size() - 1, options));
+    expect_bounded(before);
+  };
+  const auto drop = [&](std::size_t i) {
+    const std::uint64_t before = copied.value();
+    const std::string name = live[i].name;
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    ASSERT_TRUE(warm.remove_row(name));
+    expect_bounded(before);
+  };
+  const auto append = [&](std::size_t i) {
+    const std::uint64_t before = copied.value();
+    std::vector<double>& s = live[i].series[rng.uniform_int(0, 1)];
+    const std::uint64_t samples = rng.uniform_int(1, 3);
+    for (std::uint64_t k = 0; k < samples; ++k) {
+      s.push_back(rng.uniform(0.0, 60.0));
+    }
+    ASSERT_TRUE(warm.upsert_row(soak_suite(live), i, options));
+    expect_bounded(before);
+  };
+
+  for (std::size_t step = 1; step <= 3000; ++step) {
+    const double op = rng.uniform();
+    if (op < 0.25 && live.size() < 20) {
+      ASSERT_NO_FATAL_FAILURE(add());
+    } else if (op < 0.5 && live.size() > 3) {
+      ASSERT_NO_FATAL_FAILURE(drop(rng.uniform_int(0, live.size() - 1)));
+    } else {
+      ASSERT_NO_FATAL_FAILURE(append(rng.uniform_int(0, live.size() - 1)));
+    }
+    if (step % 100 == 0) {
+      ASSERT_NO_FATAL_FAILURE(expect_equals_cold());
+    }
+  }
+  while (live.size() < 40) {
+    ASSERT_NO_FATAL_FAILURE(add());
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_equals_cold());
+  while (live.size() > 3) {
+    ASSERT_NO_FATAL_FAILURE(drop(0));
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_equals_cold());
+}
+
+/// An aggregate-only suite: ClusterScore is all that reads it.
+CounterMatrix aggregate_suite() {
+  stats::Rng rng(77);
+  std::vector<std::string> names;
+  la::Matrix values;
+  for (std::size_t w = 0; w < 9; ++w) {
+    names.push_back("a" + std::to_string(w));
+    values.append_row(std::vector<double>{rng.uniform(0.0, 10.0),
+                                          rng.uniform(0.0, 10.0),
+                                          rng.uniform(0.0, 10.0)});
+  }
+  return CounterMatrix("agg", names, {"c0", "c1", "c2"}, values);
+}
+
+void expect_cluster_bitwise_equal(const ClusterScoreResult& a,
+                                  const ClusterScoreResult& b) {
+  EXPECT_EQ(bits(a.score), bits(b.score));
+  EXPECT_EQ(a.k_min, b.k_min);
+  ASSERT_EQ(a.per_k.size(), b.per_k.size());
+  for (std::size_t k = 0; k < a.per_k.size(); ++k) {
+    EXPECT_EQ(bits(a.per_k[k]), bits(b.per_k[k])) << "k index " << k;
+  }
+}
+
+TEST(WorkspaceClusterMemo, HitIsBitwiseTheDirectScoreAndSkipsKMeans) {
+  const CounterMatrix suite = aggregate_suite();
+  const Perspector perspector;
+  ScoringWorkspace workspace;
+  const obs::Counter& hits = obs::counter("cache.cluster_hits");
+  const obs::Counter& kmeans = obs::counter("kmeans.calls");
+
+  perspector.score_suites({suite}, workspace);  // records the memo
+  const std::uint64_t hits_before = hits.value();
+  const std::uint64_t kmeans_before = kmeans.value();
+  const SuiteScores again =
+      perspector.score_suites({suite}, workspace).front();
+  EXPECT_EQ(hits.value() - hits_before, 1u);
+  EXPECT_EQ(kmeans.value() - kmeans_before, 0u);
+  expect_cluster_bitwise_equal(again.cluster_detail,
+                               cluster_score(suite, ClusterScoreOptions{}));
+  EXPECT_EQ(bits(again.cluster), bits(again.cluster_detail.score));
+}
+
+TEST(WorkspaceClusterMemo, OneUlpOrAnotherOptionMisses) {
+  const CounterMatrix suite = aggregate_suite();
+  const ClusterScoreOptions options;
+  ScoringWorkspace workspace;
+  workspace.record_cluster(suite.values(), options,
+                           cluster_score(suite, options));
+  ASSERT_TRUE(workspace.find_cluster(suite.values(), options).has_value());
+
+  // One ulp on one aggregate is a different key.
+  la::Matrix nudged = suite.values();
+  nudged(4, 1) = std::nextafter(nudged(4, 1), 1e300);
+  EXPECT_FALSE(workspace.find_cluster(nudged, options).has_value());
+  // So is any ClusterScoreOptions field, and another shape.
+  ClusterScoreOptions reseeded = options;
+  reseeded.seed += 1;
+  EXPECT_FALSE(workspace.find_cluster(suite.values(), reseeded).has_value());
+  ClusterScoreOptions restarts = options;
+  restarts.kmeans_restarts += 1;
+  EXPECT_FALSE(workspace.find_cluster(suite.values(), restarts).has_value());
+  ClusterScoreOptions iters = options;
+  iters.kmeans_max_iters += 1;
+  EXPECT_FALSE(workspace.find_cluster(suite.values(), iters).has_value());
+  EXPECT_FALSE(workspace
+                   .find_cluster(suite.select_workloads({0, 1, 2, 3, 4})
+                                     .values(),
+                                 options)
+                   .has_value());
+
+  // Scoring the nudged suite misses, computes directly and records it.
+  const CounterMatrix nudged_suite("agg", suite.workload_names(),
+                                   suite.counter_names(), nudged);
+  const Perspector perspector;
+  const SuiteScores scored =
+      perspector.score_suites({nudged_suite}, workspace).front();
+  expect_cluster_bitwise_equal(scored.cluster_detail,
+                               cluster_score(nudged_suite, options));
+  const auto recorded = workspace.find_cluster(nudged, options);
+  ASSERT_TRUE(recorded.has_value());
+  expect_cluster_bitwise_equal(*recorded, scored.cluster_detail);
 }
 
 }  // namespace
