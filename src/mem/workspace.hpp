@@ -18,6 +18,12 @@
 //   * the per-thread free list is bounded (kMaxPooled buffers per type), so
 //     a one-off giant temporary cannot pin memory for the process lifetime.
 //
+// An owner that outlives one call may hold a buffer from
+// BufferPool<T>::local() directly (sim::Cache keeps its way rows this
+// way). Pools are per thread and never shared, so a buffer released on a
+// different thread than the one that acquired it just moves to the
+// releasing thread's pool; no pool is touched by two threads.
+//
 // Observability: `mem.scratch.acquires` counts every borrow,
 // `mem.scratch.reuses` the borrows served without touching the allocator.
 #pragma once

@@ -38,15 +38,14 @@ AccessPatternGen::AccessPatternGen(const AccessPatternParams& params,
   switch (params_.kind) {
     case AccessPatternKind::PointerChase: {
       // Random Hamiltonian cycle over line-sized slots: dependent accesses
-      // with zero spatial locality beyond the slot itself.
-      const std::uint64_t n = slots();
-      const auto perm = rng_.permutation(static_cast<std::size_t>(n));
-      chase_next_.resize(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        chase_next_[perm[i]] =
-            static_cast<std::uint32_t>(perm[(i + 1) % n]);
-      }
-      chase_slot_ = perm[0];
+      // with zero spatial locality beyond the slot itself. The cycle
+      // perm[0] -> perm[1] -> ... -> perm[n-1] -> perm[0] is walked in
+      // order from perm[0]. Shuffling 32-bit slots in place draws exactly
+      // what rng_.permutation(n) draws (std::shuffle's draws depend only
+      // on the length).
+      chase_order_.resize(slots());
+      std::iota(chase_order_.begin(), chase_order_.end(), 0u);
+      std::shuffle(chase_order_.begin(), chase_order_.end(), rng_.engine());
       break;
     }
     case AccessPatternKind::Zipf: {
@@ -75,7 +74,7 @@ std::uint64_t AccessPatternGen::next() {
     case AccessPatternKind::Sequential:
     case AccessPatternKind::Strided: {
       const std::uint64_t addr = base_ + cursor_;
-      cursor_ = (cursor_ + params_.stride_bytes) % ws;
+      step_cursor();
       return addr & ~std::uint64_t{7};
     }
     case AccessPatternKind::RandomUniform: {
@@ -83,8 +82,9 @@ std::uint64_t AccessPatternGen::next() {
       return base_ + off;
     }
     case AccessPatternKind::PointerChase: {
-      chase_slot_ = chase_next_[chase_slot_];
-      return base_ + static_cast<std::uint64_t>(chase_slot_) * kSlotBytes;
+      if (++chase_pos_ == chase_order_.size()) chase_pos_ = 0;
+      return base_ +
+             static_cast<std::uint64_t>(chase_order_[chase_pos_]) * kSlotBytes;
     }
     case AccessPatternKind::Zipf: {
       const double u = rng_.uniform();
@@ -102,7 +102,7 @@ std::uint64_t AccessPatternGen::next() {
       if (rng_.bernoulli(params_.jump_prob)) {
         cursor_ = rng_.uniform_int(0, ws / 8 - 1) * 8;
       } else {
-        cursor_ = (cursor_ + params_.stride_bytes) % ws;
+        step_cursor();
       }
       return (base_ + cursor_) & ~std::uint64_t{7};
     }

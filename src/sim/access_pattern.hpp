@@ -53,12 +53,25 @@ class AccessPatternGen {
 
   std::uint64_t slots() const;
 
+  /// Advances cursor_ by one stride within the working set.
+  void step_cursor() {
+    const std::uint64_t ws = params_.working_set_bytes;
+    if (params_.stride_bytes < ws) {
+      cursor_ += params_.stride_bytes;  // cursor_ < ws, so one wrap at most
+      if (cursor_ >= ws) cursor_ -= ws;
+    } else {
+      cursor_ = (cursor_ + params_.stride_bytes) % ws;
+    }
+  }
+
   AccessPatternParams params_;
   std::uint64_t base_;
   stats::Rng rng_;
   std::uint64_t cursor_ = 0;  // byte offset (Sequential/Strided/Graph)
-  std::uint64_t chase_slot_ = 0;
-  std::vector<std::uint32_t> chase_next_;  // successor slot per slot
+  // Pointer chase: the cycle's slots in visiting order, and the index of
+  // the slot visited last.
+  std::vector<std::uint32_t> chase_order_;
+  std::size_t chase_pos_ = 0;
   std::vector<double> zipf_cdf_;           // cumulative popularity
   std::uint64_t zipf_objects_ = 0;
 };

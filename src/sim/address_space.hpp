@@ -2,8 +2,9 @@
 // model can charge minor page faults (Table IV page-faults counter).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_set>
+#include <vector>
 
 #include "sim/machine_config.hpp"
 
@@ -31,8 +32,21 @@ class AddressSpace {
   void reset();
 
  private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  /// The slot holding `page`, or the empty slot where it would go.
+  std::size_t slot_of(std::uint64_t page) const;
+  /// Doubles the table and re-inserts every page.
+  void grow();
+
   std::uint64_t page_shift_;
-  std::unordered_set<std::uint64_t> pages_;
+  // Resident pages as an open-addressed set (linear probing, load factor at
+  // most 1/2). Only membership and the count are ever read. kEmpty marks a
+  // free slot, so the one page number equal to it (possible only with
+  // 1-byte pages) is kept in a flag instead.
+  std::vector<std::uint64_t> slots_;
+  std::uint32_t hash_shift_ = 0;  // 64 - log2(slots_.size())
+  bool empty_key_resident_ = false;
   PageStats stats_;
 };
 

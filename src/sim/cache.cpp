@@ -2,6 +2,9 @@
 
 #include <bit>
 #include <stdexcept>
+#include <utility>
+
+#include "mem/workspace.hpp"
 
 namespace perspector::sim {
 
@@ -22,7 +25,6 @@ Cache::Cache(const CacheGeometry& geometry, std::uint64_t seed)
   set_shift_ =
       pow2_sets_ ? static_cast<std::uint32_t>(std::countr_zero(sets_)) : 0;
   line_shift_ = static_cast<std::uint64_t>(std::countr_zero(geometry.line_bytes));
-  lines_.resize(sets_ * geometry.ways);
 
   if (geometry.replacement == ReplacementPolicy::Plru) {
     if (!std::has_single_bit(static_cast<std::uint64_t>(geometry.ways))) {
@@ -31,30 +33,39 @@ Cache::Cache(const CacheGeometry& geometry, std::uint64_t seed)
     }
     plru_bits_.assign(sets_, 0);
   }
+  fill_.assign(sets_, 0);
+  // Ways at or above a set's fill count are never read, so a pooled row
+  // needs no clearing.
+  ways_ = mem::detail::BufferPool<Way>::local().acquire(sets_ * geometry.ways);
 }
 
-std::uint32_t Cache::find_way(std::size_t set, std::uint64_t tag) const {
-  const Line* base = &lines_[set * geometry_.ways];
-  for (std::uint32_t w = 0; w < geometry_.ways; ++w) {
-    if (base[w].valid && base[w].tag == tag) return w;
-  }
-  return geometry_.ways;
+Cache::~Cache() {
+  mem::detail::BufferPool<Way>::local().release(std::move(ways_));
 }
 
-std::uint32_t Cache::pick_victim(std::size_t set) {
-  Line* base = &lines_[set * geometry_.ways];
-  // Invalid ways first, regardless of policy.
-  for (std::uint32_t w = 0; w < geometry_.ways; ++w) {
-    if (!base[w].valid) return w;
-  }
-  switch (geometry_.replacement) {
-    case ReplacementPolicy::Lru: {
-      std::uint32_t victim = 0;
-      for (std::uint32_t w = 1; w < geometry_.ways; ++w) {
-        if (base[w].lru < base[victim].lru) victim = w;
-      }
-      return victim;
+Cache::Probe Cache::probe(std::size_t set, std::uint64_t tag) const {
+  const Way* base = &ways_[set * geometry_.ways];
+  const std::uint32_t filled = fill_[set];
+  Probe out{geometry_.ways, 0};
+  std::uint64_t oldest = ~std::uint64_t{0};
+  for (std::uint32_t w = 0; w < filled; ++w) {
+    if (base[w].tag == tag) {
+      out.way = w;
+      return out;
     }
+    // Selects, not branches: where the oldest way sits is unpredictable.
+    const std::uint64_t meta = base[w].meta;
+    const bool older = meta < oldest;
+    out.lru = older ? w : out.lru;
+    oldest = older ? meta : oldest;
+  }
+  return out;
+}
+
+std::uint32_t Cache::pick_victim(std::size_t set, std::uint32_t lru) {
+  switch (geometry_.replacement) {
+    case ReplacementPolicy::Lru:
+      return lru;
     case ReplacementPolicy::Random: {
       return static_cast<std::uint32_t>(rng_() % geometry_.ways);
     }
@@ -78,9 +89,9 @@ std::uint32_t Cache::pick_victim(std::size_t set) {
   throw std::logic_error("Cache: unknown replacement policy");
 }
 
-void Cache::touch_way(std::size_t set, std::uint32_t way) {
-  ++lru_clock_;
-  lines_[set * geometry_.ways + way].lru = lru_clock_;
+void Cache::touch_way(std::size_t set, std::uint32_t way, bool dirty) {
+  Way& w = ways_[set * geometry_.ways + way];
+  w.meta = (++lru_clock_ << 1) | (w.meta & 1u) | (dirty ? 1u : 0u);
   if (geometry_.replacement == ReplacementPolicy::Plru) {
     // Update the path bits: record which side of each node was used.
     std::uint32_t leaf = way + geometry_.ways;
@@ -99,21 +110,26 @@ void Cache::touch_way(std::size_t set, std::uint32_t way) {
   }
 }
 
-bool Cache::install(std::size_t set, std::uint64_t tag, bool dirty) {
-  const std::uint32_t victim_way = pick_victim(set);
-  Line& victim = lines_[set * geometry_.ways + victim_way];
-  const bool writeback = victim.valid && victim.dirty;
-  victim.valid = true;
-  victim.dirty = dirty;
-  victim.tag = tag;
-  touch_way(set, victim_way);
+bool Cache::install(std::size_t set, std::uint64_t tag, bool dirty,
+                    std::uint32_t lru) {
+  // The lowest invalid way is way fill_[set]; only a full set evicts.
+  Way* base = &ways_[set * geometry_.ways];
+  std::uint32_t victim = fill_[set];
+  bool writeback = false;
+  if (victim < geometry_.ways) {
+    ++fill_[set];
+  } else {
+    victim = pick_victim(set, lru);
+    writeback = (base[victim].meta & 1u) != 0;
+  }
+  base[victim].tag = tag;
+  base[victim].meta = 0;
+  touch_way(set, victim, dirty);
   return writeback;
 }
 
 bool Cache::access(std::uint64_t address, AccessType type) {
-  const std::uint64_t line_addr = address >> line_shift_;
-  const std::size_t set = set_index(line_addr);
-  const std::uint64_t tag = tag_of(line_addr);
+  const auto [set, tag] = locate(address);
   const bool is_store = type == AccessType::Store;
   if (is_store) {
     ++stats_.stores;
@@ -121,10 +137,9 @@ bool Cache::access(std::uint64_t address, AccessType type) {
     ++stats_.loads;
   }
 
-  const std::uint32_t way = find_way(set, tag);
-  if (way < geometry_.ways) {
-    touch_way(set, way);
-    if (is_store) lines_[set * geometry_.ways + way].dirty = true;
+  const Probe found = probe(set, tag);
+  if (found.way < geometry_.ways) {
+    touch_way(set, found.way, is_store);
     return true;
   }
 
@@ -133,27 +148,26 @@ bool Cache::access(std::uint64_t address, AccessType type) {
   } else {
     ++stats_.load_misses;
   }
-  if (install(set, tag, is_store)) ++stats_.writebacks;
+  if (install(set, tag, is_store, found.lru)) ++stats_.writebacks;
   return false;
 }
 
 bool Cache::prefetch_fill(std::uint64_t address) {
-  const std::uint64_t line_addr = address >> line_shift_;
-  const std::size_t set = set_index(line_addr);
-  const std::uint64_t tag = tag_of(line_addr);
-  if (find_way(set, tag) < geometry_.ways) return false;  // already present
-  if (install(set, tag, /*dirty=*/false)) ++stats_.writebacks;
+  const auto [set, tag] = locate(address);
+  const Probe found = probe(set, tag);
+  if (found.way < geometry_.ways) return false;  // already present
+  if (install(set, tag, /*dirty=*/false, found.lru)) ++stats_.writebacks;
   ++stats_.prefetch_fills;
   return true;
 }
 
 bool Cache::contains(std::uint64_t address) const {
-  const std::uint64_t line_addr = address >> line_shift_;
-  return find_way(set_index(line_addr), tag_of(line_addr)) < geometry_.ways;
+  const auto [set, tag] = locate(address);
+  return probe(set, tag).way < geometry_.ways;
 }
 
 void Cache::flush() {
-  for (Line& line : lines_) line = Line{};
+  fill_.assign(fill_.size(), 0);
   if (!plru_bits_.empty()) {
     plru_bits_.assign(plru_bits_.size(), 0);
   }

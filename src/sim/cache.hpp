@@ -4,10 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 #include <vector>
 
 #include "sim/machine_config.hpp"
+#include "stats/rng.hpp"
 
 namespace perspector::sim {
 
@@ -39,9 +39,19 @@ struct CacheStats {
 /// set counts index with a mask; other counts (e.g. a 12 MiB LLC) fall back
 /// to modulo indexing, as sliced LLCs effectively do. Tree-PLRU requires a
 /// power-of-two way count.
+///
+/// The valid ways of a set are always its first `fill` ways: a miss fills
+/// the lowest invalid way and only flush() invalidates. A lookup scans the
+/// filled ways once, finding the tag or, on a miss, the LRU victim. The way
+/// rows come from the thread's buffer pool, so a new Cache resets its fill
+/// counts instead of zeroing every line (DESIGN.md section 16).
 class Cache {
  public:
   explicit Cache(const CacheGeometry& geometry, std::uint64_t seed = 0xC0FFEE);
+  ~Cache();
+
+  Cache(const Cache&) = delete;
+  Cache& operator=(const Cache&) = delete;
 
   /// Performs a demand access. Returns true on hit. On miss the line is
   /// filled (write-allocate); a dirty eviction increments `writebacks`.
@@ -70,29 +80,48 @@ class Cache {
   }
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  // recency stamp (LRU policy)
-    bool valid = false;
-    bool dirty = false;
+  /// One valid way: its tag and `stamp << 1 | dirty`, where the stamp is
+  /// the LRU clock at the way's last touch. Stamps are unique, so the
+  /// smallest `meta` in a full set is the least recently used way.
+  struct Way {
+    std::uint64_t tag;
+    std::uint64_t meta;
   };
 
-  std::size_t set_index(std::uint64_t line_addr) const {
-    return static_cast<std::size_t>(
-        pow2_sets_ ? line_addr & (sets_ - 1) : line_addr % sets_);
-  }
-  std::uint64_t tag_of(std::uint64_t line_addr) const {
-    return pow2_sets_ ? line_addr >> set_shift_ : line_addr / sets_;
+  struct Location {
+    std::size_t set;
+    std::uint64_t tag;
+  };
+
+  /// Splits a byte address into set and tag (one division when the set
+  /// count is not a power of two).
+  Location locate(std::uint64_t address) const {
+    const std::uint64_t line_addr = address >> line_shift_;
+    if (pow2_sets_) {
+      return {static_cast<std::size_t>(line_addr & (sets_ - 1)),
+              line_addr >> set_shift_};
+    }
+    const std::uint64_t tag = line_addr / sets_;
+    return {static_cast<std::size_t>(line_addr - tag * sets_), tag};
   }
 
-  /// Finds the way holding `tag` in `set`, or ways() when absent.
-  std::uint32_t find_way(std::size_t set, std::uint64_t tag) const;
-  /// Picks a victim way in `set` per the replacement policy.
-  std::uint32_t pick_victim(std::size_t set);
-  /// Policy bookkeeping on a touch (hit or fill) of `way` in `set`.
-  void touch_way(std::size_t set, std::uint32_t way);
-  /// Installs `tag` into `set`; returns the victim's dirtiness.
-  bool install(std::size_t set, std::uint64_t tag, bool dirty);
+  /// One pass over the filled ways of a set.
+  struct Probe {
+    std::uint32_t way;  // the way holding the tag, or ways() when absent
+    std::uint32_t lru;  // on a miss: the least recently used filled way
+  };
+
+  Probe probe(std::size_t set, std::uint64_t tag) const;
+  /// Picks a victim way in a full `set` per the replacement policy; `lru`
+  /// is the set's least recently used way.
+  std::uint32_t pick_victim(std::size_t set, std::uint32_t lru);
+  /// Stamps `way` of `set` as most recently used, keeping its dirty bit
+  /// unless `dirty` sets it, and updates the PLRU tree.
+  void touch_way(std::size_t set, std::uint32_t way, bool dirty);
+  /// Installs `tag` into `set` (evicting from a full set per the policy,
+  /// `lru` from the probe that missed); returns the victim's dirtiness.
+  bool install(std::size_t set, std::uint64_t tag, bool dirty,
+               std::uint32_t lru);
 
   CacheGeometry geometry_;
   std::uint64_t sets_ = 0;
@@ -100,9 +129,10 @@ class Cache {
   std::uint32_t set_shift_ = 0;   // log2(sets), valid when pow2_sets_
   std::uint64_t line_shift_ = 0;  // log2(line_bytes)
   std::uint64_t lru_clock_ = 0;
-  std::vector<Line> lines_;       // sets_ * ways, row-major by set
+  std::vector<Way> ways_;         // sets_ * ways, row-major by set; pooled
+  std::vector<std::uint32_t> fill_;       // per-set count of valid ways
   std::vector<std::uint32_t> plru_bits_;  // per-set PLRU tree state
-  std::mt19937_64 rng_;           // Random policy victim draws
+  stats::Mt19937_64 rng_;         // Random policy victim draws
   CacheStats stats_;
 };
 

@@ -15,37 +15,37 @@ Tlb::Level::Level(const TlbGeometry& geometry) : ways(geometry.ways) {
     throw std::invalid_argument("Tlb: set count must be a power of two");
   }
   entries.resize(geometry.entries);
+  fill.assign(sets, 0);
 }
 
 bool Tlb::Level::access_and_fill(std::uint64_t page) {
   const std::size_t set = static_cast<std::size_t>(page & (sets - 1));
   Entry* base = &entries[set * ways];
+  const std::uint32_t filled = fill[set];
   ++clock;
-  for (std::uint32_t w = 0; w < ways; ++w) {
-    Entry& e = base[w];
-    if (e.valid && e.page == page) {
-      e.lru = clock;
+  // One pass finds the page or, for a full set, the LRU entry (selects,
+  // not branches: where the oldest entry sits is unpredictable).
+  std::uint32_t victim = 0;
+  std::uint64_t oldest = ~std::uint64_t{0};
+  for (std::uint32_t w = 0; w < filled; ++w) {
+    if (base[w].page == page) {
+      base[w].lru = clock;
       return true;
     }
+    const bool older = base[w].lru < oldest;
+    victim = older ? w : victim;
+    oldest = older ? base[w].lru : oldest;
   }
-  Entry* victim = base;
-  for (std::uint32_t w = 0; w < ways; ++w) {
-    Entry& e = base[w];
-    if (!e.valid) {
-      victim = &e;
-      break;
-    }
-    if (e.lru < victim->lru) victim = &e;
+  if (filled < ways) {
+    victim = filled;
+    ++fill[set];
   }
-  victim->valid = true;
-  victim->page = page;
-  victim->lru = clock;
+  base[victim].page = page;
+  base[victim].lru = clock;
   return false;
 }
 
-void Tlb::Level::flush() {
-  for (Entry& e : entries) e = Entry{};
-}
+void Tlb::Level::flush() { fill.assign(fill.size(), 0); }
 
 Tlb::Tlb(const TlbGeometry& l1, const TlbGeometry& stlb,
          std::uint64_t page_bytes, std::uint32_t stlb_hit_cycles,

@@ -45,7 +45,9 @@ class Tlb {
   void flush();
 
  private:
-  // A single set-associative translation array over page numbers.
+  // A single set-associative translation array over page numbers. As in
+  // Cache, the valid entries of a set are its first `fill[set]` ways: a
+  // miss fills the lowest invalid way and only flush() invalidates.
   struct Level {
     explicit Level(const TlbGeometry& geometry);
     bool access_and_fill(std::uint64_t page);  // true on hit; fills on miss
@@ -55,11 +57,11 @@ class Tlb {
     std::uint64_t sets;
     std::uint64_t clock = 0;
     struct Entry {
-      std::uint64_t page = 0;
-      std::uint64_t lru = 0;
-      bool valid = false;
+      std::uint64_t page;
+      std::uint64_t lru;  // clock at the last touch; unique per entry
     };
     std::vector<Entry> entries;
+    std::vector<std::uint32_t> fill;  // per-set count of valid entries
   };
 
   Level l1_;

@@ -7,24 +7,27 @@
 
 namespace perspector::stats {
 
-double Rng::uniform(double lo, double hi) {
-  std::uniform_real_distribution<double> dist(lo, hi);
-  return dist(engine_);
-}
-
-std::uint64_t Rng::uniform_int(std::uint64_t lo, std::uint64_t hi) {
-  if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
-  std::uniform_int_distribution<std::uint64_t> dist(lo, hi);
-  return dist(engine_);
+void Mt19937_64::twist() {
+  constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+  constexpr std::uint64_t kLower = ~kUpper;
+  constexpr std::uint64_t kMatrix = 0xb5026f5aa96619e9ull;
+  const auto mix = [](std::uint64_t hi, std::uint64_t lo) {
+    const std::uint64_t y = (hi & kUpper) | (lo & kLower);
+    return (y >> 1) ^ ((0 - (y & 1u)) & kMatrix);  // no branch on the bit
+  };
+  std::size_t k = 0;
+  for (; k < kN - kM; ++k) {
+    state_[k] = state_[k + kM] ^ mix(state_[k], state_[k + 1]);
+  }
+  for (; k < kN - 1; ++k) {
+    state_[k] = state_[k + kM - kN] ^ mix(state_[k], state_[k + 1]);
+  }
+  state_[kN - 1] = state_[kM - 1] ^ mix(state_[kN - 1], state_[0]);
+  index_ = 0;
 }
 
 double Rng::normal(double mean, double stddev) {
   std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
-}
-
-bool Rng::bernoulli(double p) {
-  std::bernoulli_distribution dist(std::clamp(p, 0.0, 1.0));
   return dist(engine_);
 }
 

@@ -74,6 +74,20 @@ TEST(AccessPattern, PointerChaseIsAHamiltonianCycle) {
   EXPECT_EQ(first_cycle, second_cycle);
 }
 
+TEST(AccessPattern, PointerChaseWalksRngPermutation) {
+  // The cycle is perm[0] -> perm[1] -> ... -> perm[n-1] -> perm[0] for the
+  // permutation the generator's RNG draws, entered after perm[0].
+  const stats::Rng rng(99);
+  AccessPatternGen gen({.kind = AccessPatternKind::PointerChase,
+                        .working_set_bytes = 640 * 64},
+                       kBase, rng);
+  stats::Rng same = rng;
+  const auto perm = same.permutation(640);
+  for (std::size_t i = 1; i <= 2 * perm.size(); ++i) {
+    ASSERT_EQ(gen.next(), kBase + perm[i % perm.size()] * 64) << i;
+  }
+}
+
 TEST(AccessPattern, ZipfSkewsTowardHotSlots) {
   auto gen = make(AccessPatternKind::Zipf, 64 * 1024);
   std::map<std::uint64_t, int> counts;

@@ -3,8 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <random>
 #include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace perspector::stats {
 namespace {
@@ -133,6 +140,144 @@ TEST(Rng, ForkIsDeterministic) {
   Rng cb = b.fork();
   for (int i = 0; i < 20; ++i) {
     EXPECT_DOUBLE_EQ(ca.uniform(), cb.uniform());
+  }
+}
+
+// ---- equivalence with libstdc++ -------------------------------------------
+// The simulator's counters are pinned by golden digests computed with
+// std::mt19937_64 and the std:: distributions; the in-tree engine and draws
+// must reproduce them bit for bit.
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Hands out a fixed list of 64-bit values, as an engine would.
+class ReplayEngine {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit ReplayEngine(std::uint64_t value) : value_(value) {}
+  result_type operator()() { return value_; }
+
+ private:
+  std::uint64_t value_;
+};
+
+TEST(Mt19937_64, MatchesStdEngineOnTenMillionDraws) {
+  for (std::uint64_t seed : {0ull, 1ull, 42ull, 5489ull,
+                             0x9e3779b97f4a7c15ull, ~0ull}) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 theirs(seed);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 2'000'000; ++i) {
+      if (ours() != theirs()) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
+}
+
+TEST(Mt19937_64, TenThousandthOutputOfDefaultSeed) {
+  // The value the C++ standard requires of mt19937_64 ([rand.predef]).
+  Mt19937_64 engine;
+  for (int i = 1; i < 10'000; ++i) engine();
+  EXPECT_EQ(engine(), 9981545732273789042ull);
+  Mt19937_64 seeded(5489);
+  for (int i = 1; i < 10'000; ++i) seeded();
+  EXPECT_EQ(seeded(), 9981545732273789042ull);
+}
+
+std::vector<std::uint64_t> canonical_test_values() {
+  // Edge values around 0, 2^63 and the top of the range, where double(x)
+  // rounds up to 2^64 (from 2^64 - 2^10 on) and the clamp applies.
+  std::vector<std::uint64_t> values;
+  for (std::uint64_t k = 0; k <= 2048; ++k) {
+    values.push_back(~0ull - k);
+    values.push_back(k);
+    values.push_back((1ull << 63) + k);
+    values.push_back((1ull << 63) - k);
+    values.push_back((~0ull - 2047) - k);  // (2^64 - 2^11) - k
+  }
+  std::mt19937_64 random(2024);
+  for (int i = 0; i < 300'000; ++i) values.push_back(random());
+  return values;
+}
+
+TEST(RngDraw, CanonicalMatchesGenerateCanonical) {
+  std::size_t mismatches = 0;
+  for (std::uint64_t x : canonical_test_values()) {
+    ReplayEngine ours(x), theirs(x);
+    const double c = draw::canonical(ours);
+    if (bits(c) != bits(std::generate_canonical<double, 53>(theirs))) {
+      ++mismatches;
+    }
+    EXPECT_LT(c, 1.0);
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(RngDraw, UniformMatchesUniformRealDistribution) {
+  const std::pair<double, double> ranges[] = {
+      {0.0, 1.0}, {-0.08, 0.08}, {2.0, 3.0}, {0.0, 7.3}, {-1e6, 1e-3}};
+  std::size_t mismatches = 0;
+  for (std::uint64_t x : canonical_test_values()) {
+    for (const auto& [lo, hi] : ranges) {
+      ReplayEngine ours(x), theirs(x);
+      std::uniform_real_distribution<double> dist(lo, hi);
+      if (bits(draw::uniform(ours, lo, hi)) != bits(dist(theirs))) {
+        ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(RngDraw, BernoulliMatchesBernoulliDistribution) {
+  std::size_t mismatches = 0;
+  for (std::uint64_t x : canonical_test_values()) {
+    ReplayEngine probe(x);
+    const double c = draw::canonical(probe);
+    // Thresholds at and either side of the draw itself, plus fixed ones.
+    for (double p : {c, std::nextafter(c, 0.0), std::nextafter(c, 2.0), 0.0,
+                     0.002, 0.3, 0.5, 1.0}) {
+      ReplayEngine ours(x), theirs(x);
+      std::bernoulli_distribution dist(p);
+      if (draw::bernoulli(ours, p) != dist(theirs)) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Rng, DrawsMatchStdDistributionsOverStdEngine) {
+  Rng ours(77);
+  std::mt19937_64 theirs(77);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 200'000; ++i) {
+    if (bits(ours.uniform()) !=
+        bits(std::generate_canonical<double, 53>(theirs))) {
+      ++mismatches;
+    }
+    std::uniform_real_distribution<double> real(-0.08, 0.08);
+    if (bits(ours.uniform(-0.08, 0.08)) != bits(real(theirs))) ++mismatches;
+    // Out-of-range probabilities are clamped before the draw.
+    for (double p : {0.002, 0.3, -2.0, 1.5}) {
+      std::bernoulli_distribution coin(std::clamp(p, 0.0, 1.0));
+      if (ours.bernoulli(p) != coin(theirs)) ++mismatches;
+    }
+    std::uniform_int_distribution<std::uint64_t> integer(3, 1'000'003);
+    if (ours.uniform_int(3, 1'000'003) != integer(theirs)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Rng, PermutationMatchesStdShuffle) {
+  for (std::size_t n : {1u, 2u, 7u, 1000u, 100'000u}) {
+    Rng ours(n);
+    std::mt19937_64 theirs(n);
+    std::vector<std::size_t> expected(n);
+    std::iota(expected.begin(), expected.end(), 0u);
+    std::shuffle(expected.begin(), expected.end(), theirs);
+    EXPECT_EQ(ours.permutation(n), expected) << "n = " << n;
   }
 }
 

@@ -50,6 +50,14 @@ RouterOptions router_options(std::size_t workers) {
   return options;
 }
 
+/// The value of counter `name` in a metrics line; 0 when absent.
+std::uint64_t counter_value(const std::string& line, const std::string& name) {
+  const std::string key = "\"" + name + "\":";
+  const auto at = line.find(key);
+  if (at == std::string::npos) return 0;
+  return std::stoull(line.substr(at + key.size()));
+}
+
 void pause_ms(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
@@ -235,13 +243,18 @@ TEST(Router, ShardStatsReportsEveryWorker) {
 
 TEST(Router, MetricsLineMergesWorkerRegistries) {
   Router router(router_options(2));
+  // The router's counters live in the process-wide registry, so earlier
+  // tests in this process have already moved them: assert the rise.
+  const std::string before = router.metrics_line("");
   router.score(builtin_request("nbench", 2000, "m1", 1));
   router.score(builtin_request("sebs", 2000, "m2", 2));
   const std::string line = router.metrics_line("");
   // Router-local counters and worker-side serve.* counters appear in one
   // merged snapshot.
-  EXPECT_NE(line.find("\"router.requests\":2"), std::string::npos);
-  EXPECT_NE(line.find("\"router.forwarded\":2"), std::string::npos);
+  EXPECT_EQ(counter_value(line, "router.requests"),
+            counter_value(before, "router.requests") + 2);
+  EXPECT_EQ(counter_value(line, "router.forwarded"),
+            counter_value(before, "router.forwarded") + 2);
   EXPECT_NE(line.find("\"serve.requests\""), std::string::npos);
 }
 
