@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -59,6 +60,12 @@ LloydOutcome lloyd(const la::Matrix& points, la::Matrix centroids,
   const std::size_t n = points.rows();
   const std::size_t k = config.k;
   std::vector<std::size_t> labels(n, 0);
+  // Each point's squared distance to its nearest centroid, as the last
+  // assignment step found it.
+  std::vector<double> nearest(n, 0.0);
+  // True when the last update left every centroid bit-identical, so the
+  // last assignment step already is the final assignment.
+  bool settled = false;
 
   LloydOutcome out;
   // Update-step buffers are hoisted out of the iteration loop and recycled
@@ -79,6 +86,7 @@ LloydOutcome lloyd(const la::Matrix& points, la::Matrix centroids,
         }
       }
       labels[i] = best_c;
+      nearest[i] = best;
     }
 
     // Update step.
@@ -111,6 +119,8 @@ LloydOutcome lloyd(const la::Matrix& points, la::Matrix centroids,
     }
 
     const double movement = centroids.max_abs_diff(next);
+    settled = std::memcmp(centroids.data().data(), next.data().data(),
+                          centroids.data().size() * sizeof(double)) == 0;
     std::swap(centroids, next);  // old centroids become next round's buffer
     out.iterations = iter + 1;
     if (movement <= config.tol) {
@@ -119,20 +129,27 @@ LloydOutcome lloyd(const la::Matrix& points, la::Matrix centroids,
     }
   }
 
-  // Final assignment against the settled centroids, plus inertia.
   out.inertia = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double best = std::numeric_limits<double>::infinity();
-    std::size_t best_c = 0;
-    for (std::size_t c = 0; c < k; ++c) {
-      const double d = la::squared_distance(points.row(i), centroids.row(c));
-      if (d < best) {
-        best = d;
-        best_c = c;
+  if (settled) {
+    // The final assignment would repeat the last one against the same
+    // centroid bits: keep its labels and sum its distances in point order,
+    // exactly as the pass below would.
+    for (std::size_t i = 0; i < n; ++i) out.inertia += nearest[i];
+  } else {
+    // Final assignment against the settled centroids, plus inertia.
+    for (std::size_t i = 0; i < n; ++i) {
+      double best = std::numeric_limits<double>::infinity();
+      std::size_t best_c = 0;
+      for (std::size_t c = 0; c < k; ++c) {
+        const double d = la::squared_distance(points.row(i), centroids.row(c));
+        if (d < best) {
+          best = d;
+          best_c = c;
+        }
       }
+      labels[i] = best_c;
+      out.inertia += best;
     }
-    labels[i] = best_c;
-    out.inertia += best;
   }
   out.labels = std::move(labels);
   out.centroids = std::move(centroids);

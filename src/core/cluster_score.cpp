@@ -33,9 +33,12 @@ ClusterScoreResult cluster_score_from_normalized(
   // clustering (per-k seed below), so each task owns per_k[k-2] and the
   // Eq. 6 mean below accumulates in k order — identical for any thread
   // count. Inner parallelism (restarts, silhouette) serializes when nested.
+  // Task j takes k = n-1-j: the costliest clusterings are claimed first,
+  // so the cheap small k fill in behind them instead of a large k
+  // finishing alone at the end.
   result.per_k.resize(n - 2);
-  par::parallel_for(n - 2, [&](std::size_t i) {
-    const std::size_t k = i + 2;
+  par::parallel_for(n - 2, [&](std::size_t j) {
+    const std::size_t k = n - 1 - j;
     cluster::KMeansConfig config;
     config.k = k;
     config.restarts = options.kmeans_restarts;
@@ -43,7 +46,7 @@ ClusterScoreResult cluster_score_from_normalized(
     // Stable per-k seed so adding workloads does not reshuffle smaller k.
     config.seed = options.seed + k * 1000003ull;
     const auto clustering = cluster::kmeans(normalized, config);
-    result.per_k[i] = cluster::silhouette_score_from_distances(
+    result.per_k[k - 2] = cluster::silhouette_score_from_distances(
         dist, clustering.labels, k);  // Eq. 5
   });
   double total = 0.0;

@@ -122,7 +122,10 @@ std::size_t thread_count() {
 }
 
 ThreadPool& global_pool() {
-  const std::size_t want = thread_count();
+  // The caller of a region is its N-th thread, so N threads need N - 1
+  // workers (at least one, the smallest pool there is).
+  const std::size_t threads = thread_count();
+  const std::size_t want = threads > 2 ? threads - 1 : 1;
   std::lock_guard<std::mutex> lock(g_pool_mutex);
   if (!g_pool || g_pool->size() != want) {
     g_pool.reset();  // join the old workers before spawning the new pool

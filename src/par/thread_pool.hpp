@@ -8,8 +8,8 @@
 //     parallel.hpp), never from who runs what, so a simple queue suffices
 //     and keeps the pool auditable;
 //   * nested parallel regions degrade to serial execution on the calling
-//     worker (see ThreadPool::on_worker_thread) instead of deadlocking a
-//     fully busy pool.
+//     worker (see ThreadPool::on_worker_thread), or on a region's caller
+//     inside its own share, instead of deadlocking a fully busy pool.
 //
 // Thread-count resolution, strongest wins:
 //   1. set_thread_count(n) — the CLI's --threads flag lands here;
@@ -92,9 +92,10 @@ std::size_t thread_count();
 /// Returns nullopt for anything else (empty, signs, junk, zero, overflow).
 std::optional<std::size_t> parse_thread_env(const char* text);
 
-/// The process-wide pool, sized to thread_count(). Recreated on demand if
-/// set_thread_count changed the size since the last call. Never called on
-/// the serial path (thread_count() == 1 regions run inline).
+/// The process-wide pool: thread_count() - 1 workers (at least 1), since
+/// the caller of a parallel region works as its N-th thread. Recreated on
+/// demand if set_thread_count changed the size since the last call. Never
+/// called on the serial path (thread_count() == 1 regions run inline).
 ThreadPool& global_pool();
 
 }  // namespace perspector::par

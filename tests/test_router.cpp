@@ -137,7 +137,10 @@ TEST(Router, WorkerCrashMidRequestReturnsUnavailable) {
 
   // A deliberately slow request (heavyweight suite simulation) so the
   // kill lands while the worker is computing, after the request was sent.
-  auto slow = builtin_request("spec17", 100'000, "slow", 3);
+  // It must take well over the 200 ms pause below: at 100k instructions
+  // per workload it took about 200 ms on a 4-vCPU host, so the reply
+  // sometimes beat the kill. The kill still ends the test at ~200 ms.
+  auto slow = builtin_request("spec17", 1'000'000, "slow", 3);
   const Key128 key =
       serve::result_cache_key(router.content_key(slow), slow.events);
   const int shard = router.shard_of(key);
@@ -264,8 +267,9 @@ TEST(Router, BatchMatchesSequentialScoring) {
   std::vector<ScoreRequest> requests;
   std::uint64_t trace = 0;
   for (const char* suite : {"nbench", "sebs", "lmbench", "nbench"}) {
-    requests.push_back(builtin_request(
-        suite, 2500, "b" + std::to_string(trace), ++trace));
+    const std::string label = "b" + std::to_string(trace);
+    ++trace;
+    requests.push_back(builtin_request(suite, 2500, label, trace));
   }
   Router batch_router(router_options(4));
   const auto batched = batch_router.score_batch(requests);

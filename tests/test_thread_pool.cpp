@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -125,10 +127,13 @@ TEST(ThreadCount, EnvParsingIsStrict) {
 
 TEST(ThreadCount, GlobalPoolTracksThreadCount) {
   ThreadCountGuard guard;
+  // The caller of a region is its N-th thread: N threads, N - 1 workers.
   set_thread_count(2);
-  EXPECT_EQ(global_pool().size(), 2u);
+  EXPECT_EQ(global_pool().size(), 1u);
   set_thread_count(4);
-  EXPECT_EQ(global_pool().size(), 4u);
+  EXPECT_EQ(global_pool().size(), 3u);
+  set_thread_count(8);
+  EXPECT_EQ(global_pool().size(), 7u);
 }
 
 TEST(ParallelFor, ZeroIterationsNeverInvokesBody) {
@@ -195,8 +200,8 @@ TEST(ParallelFor, ExceptionPropagatesToCaller) {
 TEST(ParallelFor, LowestChunkExceptionWins) {
   ThreadCountGuard guard;
   set_thread_count(4);
-  // Both the first and the last chunk throw; the rethrown exception must
-  // be the lowest-indexed one regardless of which chunk finishes first.
+  // Both the first and the last index throw; the rethrown exception must
+  // be the lowest-indexed one regardless of which finishes first.
   try {
     parallel_for(100, [](std::size_t i) {
       if (i == 0) throw std::runtime_error("first");
@@ -208,6 +213,126 @@ TEST(ParallelFor, LowestChunkExceptionWins) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "first");
   }
+}
+
+TEST(ParallelFor, LowestIndexExceptionWinsOverEarlierThrow) {
+  ThreadCountGuard guard;
+  set_thread_count(4);
+  // Index 5 throws first in wall time; index 0 throws only after that.
+  // The rethrown exception must still be index 0's, as in the serial loop.
+  std::atomic<bool> high_thrown{false};
+  try {
+    parallel_for(8, [&](std::size_t i) {
+      if (i == 5) {
+        high_thrown.store(true);
+        throw std::logic_error("index 5");
+      }
+      if (i == 0) {
+        // Bounded, so a pool that never starts a helper cannot hang this.
+        for (int spin = 0; spin < 2000 && !high_thrown.load(); ++spin) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        throw std::runtime_error("index 0");
+      }
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 0");
+  }
+  EXPECT_TRUE(high_thrown.load());
+}
+
+TEST(ParallelFor, UnevenBodiesRunEveryIndexExactlyOnce) {
+  ThreadCountGuard guard;
+  for (std::size_t threads : {2u, 3u, 8u}) {
+    set_thread_count(threads);
+    for (std::size_t n = 1; n <= 200; ++n) {
+      std::vector<std::atomic<int>> hits(n);
+      parallel_for(n, [&](std::size_t i) {
+        // Cost varies ~50x across indices so claims interleave unevenly.
+        volatile std::size_t sink = 0;
+        for (std::size_t spin = 0; spin < 20 * (1 + (i * 7919) % 50); ++spin) {
+          sink = sink + spin;
+        }
+        hits[i].fetch_add(1);
+      });
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1)
+            << "threads=" << threads << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+/// Occupies every worker of the global pool until release() (or scope
+/// exit), so a region can only make progress on its caller. The latches
+/// are shared with the blocking tasks, which may still be waking up after
+/// the blocker is gone.
+class PoolBlocker {
+ public:
+  PoolBlocker() {
+    const std::size_t workers = global_pool().size();
+    auto latches = std::make_shared<Latches>(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      global_pool().submit([latches] {
+        latches->started.count_down();
+        latches->gate.wait();
+      });
+    }
+    latches->started.wait();
+    latches_ = std::move(latches);
+  }
+  ~PoolBlocker() { release(); }
+  PoolBlocker(const PoolBlocker&) = delete;
+  PoolBlocker& operator=(const PoolBlocker&) = delete;
+
+  void release() {
+    if (latches_) latches_->gate.count_down();
+    latches_.reset();
+  }
+
+ private:
+  struct Latches {
+    explicit Latches(std::size_t workers)
+        : started(static_cast<std::ptrdiff_t>(workers)) {}
+    std::latch started;
+    std::latch gate{1};
+  };
+  std::shared_ptr<Latches> latches_;
+};
+
+TEST(ParallelFor, RegionFinishesOnCallerWhileWorkersAreHeld) {
+  ThreadCountGuard guard;
+  set_thread_count(4);
+  PoolBlocker blocker;
+  // Every worker sits on the latch and the helpers queue behind it, so
+  // the caller alone claims and runs every index.
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::thread::id> seen(64);
+  parallel_for(seen.size(),
+               [&](std::size_t i) { seen[i] = std::this_thread::get_id(); });
+  for (const auto& id : seen) EXPECT_EQ(id, caller);
+  // The queued helpers start now, find nothing to claim and touch nothing.
+  blocker.release();
+}
+
+TEST(ParallelFor, NestedRegionRunsInlineInCallerShare) {
+  ThreadCountGuard guard;
+  set_thread_count(4);
+  PoolBlocker blocker;
+  const auto caller = std::this_thread::get_id();
+  std::vector<int> out(8 * 16, 0);
+  parallel_for(8, [&](std::size_t outer) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    // A region nested in the caller's share must run inline; a pool
+    // fan-out here would wait forever on the held workers.
+    parallel_for(16, [&](std::size_t inner) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      out[outer * 16 + inner] = 1;
+    });
+  });
+  EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 8 * 16);
 }
 
 TEST(ParallelFor, NestedRegionRunsSerialOnWorker) {

@@ -204,12 +204,19 @@ class ReachChecker {
           seam_fns.insert(i);
           // A declared seam must carry the code-side annotation too.
           if (!fn_has_seam(fn, rule)) {
-            findings_.push_back(Finding{
-                fn.file, fn.line, kConfigRule,
-                "'" + short_name(fn.qualified) + "' is a declared " + rule +
-                    " seam (seams.conf:" + std::to_string(entry.line) +
-                    ") but its definition lacks a lint:seam(" + rule +
-                    ") annotation"});
+            // Appended piecewise: GCC 12's -Wrestrict misfires on the
+            // equivalent chain of operator+ temporaries.
+            std::string message = "'";
+            message += short_name(fn.qualified);
+            message += "' is a declared ";
+            message += rule;
+            message += " seam (seams.conf:";
+            message += std::to_string(entry.line);
+            message += ") but its definition lacks a lint:seam(";
+            message += rule;
+            message += ") annotation";
+            findings_.push_back(
+                Finding{fn.file, fn.line, kConfigRule, std::move(message)});
           }
         }
       }
