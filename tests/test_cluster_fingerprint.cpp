@@ -135,6 +135,35 @@ std::uint64_t cluster_score_digest() {
   return h.value();
 }
 
+// The shapes live_edit scores: a resident 48x14 suite, a 43x14 suite
+// with three-level ties, and an 8x14 subset candidate with duplicated
+// rows. Each contributes its ClusterScore and k-means at three k.
+std::uint64_t live_edit_shapes_digest() {
+  constexpr Case kShapes[] = {
+      {Kind::Uniform, 48, 14},
+      {Kind::ThreeLevel, 43, 14},
+      {Kind::Duplicated, 8, 14},
+  };
+  Fnv1a h;
+  for (std::size_t c = 0; c < std::size(kShapes); ++c) {
+    const Case& spec = kShapes[c];
+    const std::uint64_t seed = case_seed(c + std::size(kCases));
+    const la::Matrix points = make_points(spec.kind, spec.n, spec.dims, seed);
+    core::ClusterScoreOptions options;
+    options.seed = seed;
+    const auto result = core::cluster_score_from_normalized(points, options);
+    h.add(result.score);
+    for (double s : result.per_k) h.add(s);
+    for (std::size_t k : {std::size_t{2}, spec.n / 2, spec.n - 1}) {
+      cluster::KMeansConfig config;
+      config.k = k;
+      config.seed = seed + k;
+      digest_kmeans(cluster::kmeans(points, config), h);
+    }
+  }
+  return h.value();
+}
+
 TEST(ClusterFingerprint, KMeans) {
   ThreadCountGuard guard;
   for (std::size_t threads : kThreadCounts) {
@@ -150,6 +179,14 @@ TEST(ClusterFingerprint, ClusterScore) {
     par::set_thread_count(threads);
     EXPECT_EQ(cluster_score_digest(), 0x13cffb361f650718ull)
         << "threads=" << threads;
+  }
+}
+
+TEST(ClusterFingerprint, LiveEditShapes) {
+  ThreadCountGuard guard;
+  for (std::size_t threads : kThreadCounts) {
+    par::set_thread_count(threads);
+    EXPECT_EQ(live_edit_shapes_digest(), 0x78918b54eb1cac55ull) << "threads=" << threads;
   }
 }
 
