@@ -14,37 +14,55 @@ namespace perspector::cluster {
 
 namespace {
 
-// k-means++ seeding: first centroid uniform, subsequent centroids drawn with
-// probability proportional to squared distance from the nearest chosen one.
-la::Matrix seed_centroids(const la::Matrix& points, std::size_t k,
-                          stats::Rng& rng) {
-  const std::size_t n = points.rows();
-  la::Matrix centroids(k, points.cols());
+// k-means++ seeding: first seed uniform, each later seed drawn with
+// probability proportional to the squared distance from the nearest seed
+// chosen so far. Seeds are point rows, so every such distance is an entry
+// of `squared`. Returns the row index of each seed.
+std::vector<std::size_t> seed_rows(const la::Matrix& squared, std::size_t k,
+                                   stats::Rng& rng) {
+  const std::size_t n = squared.rows();
+  std::vector<std::size_t> seeds(k);
   // Seeding runs once per restart; the distance buffer is scratch.
   mem::Scratch<double> d2_buf(n);
   const std::span<double> d2(d2_buf.data(), n);
   std::fill(d2.begin(), d2.end(), std::numeric_limits<double>::infinity());
 
-  std::size_t first = rng.uniform_int(0, n - 1);
-  centroids.set_row(0, points.row(first));
-
+  seeds[0] = rng.uniform_int(0, n - 1);
   for (std::size_t c = 1; c < k; ++c) {
-    for (std::size_t i = 0; i < n; ++i) {
-      d2[i] = std::min(
-          d2[i], la::squared_distance(points.row(i), centroids.row(c - 1)));
-    }
+    // `squared` is bitwise symmetric, so the last seed's row holds its
+    // distance to every point.
+    const auto from_last = squared.row(seeds[c - 1]);
+    for (std::size_t i = 0; i < n; ++i) d2[i] = std::min(d2[i], from_last[i]);
     double total = 0.0;
     for (double v : d2) total += v;
-    std::size_t chosen;
     if (total <= 0.0) {
       // All points coincide with existing centroids; fall back to uniform.
-      chosen = rng.uniform_int(0, n - 1);
+      seeds[c] = rng.uniform_int(0, n - 1);
     } else {
-      chosen = rng.weighted_index(d2);
+      seeds[c] = rng.weighted_index(d2);
     }
-    centroids.set_row(c, points.row(chosen));
   }
-  return centroids;
+  return seeds;
+}
+
+// Assignment step: labels[i] is the first centroid in index order at the
+// strictly smallest distance(i, c), and nearest[i] that distance.
+template <typename Distance>
+void assign(std::size_t n, std::size_t k, const Distance& distance,
+            std::vector<std::size_t>& labels, std::vector<double>& nearest) {
+  for (std::size_t i = 0; i < n; ++i) {
+    double best = std::numeric_limits<double>::infinity();
+    std::size_t best_c = 0;
+    for (std::size_t c = 0; c < k; ++c) {
+      const double d = distance(i, c);
+      if (d < best) {
+        best = d;
+        best_c = c;
+      }
+    }
+    labels[i] = best_c;
+    nearest[i] = best;
+  }
 }
 
 struct LloydOutcome {
@@ -55,10 +73,21 @@ struct LloydOutcome {
   bool converged = false;
 };
 
-LloydOutcome lloyd(const la::Matrix& points, la::Matrix centroids,
+LloydOutcome lloyd(const la::Matrix& points, const la::Matrix& squared,
+                   const std::vector<std::size_t>& seeds,
                    const KMeansConfig& config) {
   const std::size_t n = points.rows();
   const std::size_t k = config.k;
+  la::Matrix centroids(k, points.cols());
+  for (std::size_t c = 0; c < k; ++c) {
+    centroids.set_row(c, points.row(seeds[c]));
+  }
+  const auto to_seed = [&](std::size_t i, std::size_t c) {
+    return squared(i, seeds[c]);
+  };
+  const auto to_centroid = [&](std::size_t i, std::size_t c) {
+    return la::squared_distance(points.row(i), centroids.row(c));
+  };
   std::vector<std::size_t> labels(n, 0);
   // Each point's squared distance to its nearest centroid, as the last
   // assignment step found it.
@@ -74,19 +103,12 @@ LloydOutcome lloyd(const la::Matrix& points, la::Matrix centroids,
   la::Matrix next(k, points.cols(), 0.0);
   std::vector<std::size_t> counts(k, 0);
   for (std::size_t iter = 0; iter < config.max_iters; ++iter) {
-    // Assignment step.
-    for (std::size_t i = 0; i < n; ++i) {
-      double best = std::numeric_limits<double>::infinity();
-      std::size_t best_c = 0;
-      for (std::size_t c = 0; c < k; ++c) {
-        const double d = la::squared_distance(points.row(i), centroids.row(c));
-        if (d < best) {
-          best = d;
-          best_c = c;
-        }
-      }
-      labels[i] = best_c;
-      nearest[i] = best;
+    // Until the first update the centroids are copies of the seed rows,
+    // so the first assignment reads its distances from `squared`.
+    if (iter == 0) {
+      assign(n, k, to_seed, labels, nearest);
+    } else {
+      assign(n, k, to_centroid, labels, nearest);
     }
 
     // Update step.
@@ -129,28 +151,11 @@ LloydOutcome lloyd(const la::Matrix& points, la::Matrix centroids,
     }
   }
 
+  // Final assignment against the last centroids, unless they settled
+  // bit-identically: then the last assignment step already is final.
+  if (!settled) assign(n, k, to_centroid, labels, nearest);
   out.inertia = 0.0;
-  if (settled) {
-    // The final assignment would repeat the last one against the same
-    // centroid bits: keep its labels and sum its distances in point order,
-    // exactly as the pass below would.
-    for (std::size_t i = 0; i < n; ++i) out.inertia += nearest[i];
-  } else {
-    // Final assignment against the settled centroids, plus inertia.
-    for (std::size_t i = 0; i < n; ++i) {
-      double best = std::numeric_limits<double>::infinity();
-      std::size_t best_c = 0;
-      for (std::size_t c = 0; c < k; ++c) {
-        const double d = la::squared_distance(points.row(i), centroids.row(c));
-        if (d < best) {
-          best = d;
-          best_c = c;
-        }
-      }
-      labels[i] = best_c;
-      out.inertia += best;
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i) out.inertia += nearest[i];
   out.labels = std::move(labels);
   out.centroids = std::move(centroids);
   return out;
@@ -158,7 +163,8 @@ LloydOutcome lloyd(const la::Matrix& points, la::Matrix centroids,
 
 }  // namespace
 
-KMeansResult kmeans(const la::Matrix& points, const KMeansConfig& config) {
+KMeansResult kmeans(const la::Matrix& points, const la::Matrix& squared,
+                    const KMeansConfig& config) {
   if (points.rows() == 0 || points.cols() == 0) {
     throw std::invalid_argument("kmeans: empty point set");
   }
@@ -168,6 +174,9 @@ KMeansResult kmeans(const la::Matrix& points, const KMeansConfig& config) {
   }
   if (config.restarts == 0) {
     throw std::invalid_argument("kmeans: restarts must be > 0");
+  }
+  if (squared.rows() != points.rows() || squared.cols() != points.rows()) {
+    throw std::invalid_argument("kmeans: distance matrix shape mismatch");
   }
 
   static obs::Counter& calls = obs::counter("kmeans.calls");
@@ -189,8 +198,8 @@ KMeansResult kmeans(const la::Matrix& points, const KMeansConfig& config) {
   }
   std::vector<LloydOutcome> outcomes(config.restarts);
   par::parallel_for(config.restarts, [&](std::size_t r) {
-    outcomes[r] = lloyd(
-        points, seed_centroids(points, config.k, streams[r]), config);
+    outcomes[r] = lloyd(points, squared,
+                        seed_rows(squared, config.k, streams[r]), config);
   });
 
   KMeansResult best;
@@ -206,6 +215,10 @@ KMeansResult kmeans(const la::Matrix& points, const KMeansConfig& config) {
     }
   }
   return best;
+}
+
+KMeansResult kmeans(const la::Matrix& points, const KMeansConfig& config) {
+  return kmeans(points, la::pairwise_squared_distances(points), config);
 }
 
 std::vector<std::size_t> cluster_sizes(const std::vector<std::size_t>& labels,

@@ -28,11 +28,19 @@ struct KMeansResult {
   bool converged = false;           // winning restart hit tol before cap
 };
 
-/// Runs k-means on the rows of `points`.
+/// Runs k-means on the rows of `points`. `squared` is
+/// la::pairwise_squared_distances(points): k-means++ seeds are point
+/// rows, so seeding and the first assignment read their distances from
+/// it, and only later Lloyd passes compute distances to centroids.
 ///
-/// Throws std::invalid_argument when k == 0, points are empty, or
-/// k > number of points. Empty clusters are repaired by re-seeding the
-/// empty centroid at the point farthest from its current centroid.
+/// Throws std::invalid_argument when k == 0, points are empty,
+/// k > number of points, or `squared` is not rows x rows. Empty clusters
+/// are repaired by re-seeding the empty centroid at the point farthest
+/// from its current centroid.
+KMeansResult kmeans(const la::Matrix& points, const la::Matrix& squared,
+                    const KMeansConfig& config);
+
+/// Same, building the squared-distance matrix of `points` itself.
 KMeansResult kmeans(const la::Matrix& points, const KMeansConfig& config);
 
 /// Number of points assigned to each cluster label.

@@ -1,5 +1,6 @@
 #include "core/cluster_score.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "cluster/kmeans.hpp"
@@ -25,10 +26,13 @@ ClusterScoreResult cluster_score_from_normalized(
 
   ClusterScoreResult result;
   // Every k in the sweep scores the same point set, so the pairwise
-  // distance matrix the silhouette needs is computed once here (itself a
-  // deterministic parallel region) and shared read-only across the sweep
-  // instead of being rebuilt inside every per-k task.
-  const la::Matrix dist = la::pairwise_distances(normalized);
+  // squared distances are computed once here (itself a deterministic
+  // parallel region) and shared read-only across the sweep: k-means reads
+  // its seeding and first-assignment distances from them, and the
+  // silhouette reads their sqrt, the bits of la::pairwise_distances.
+  const la::Matrix squared = la::pairwise_squared_distances(normalized);
+  la::Matrix dist = squared;
+  for (double& v : dist.data()) v = std::sqrt(v);
   // The k sweep is the ClusterScore hot loop; every k is an independent
   // clustering (per-k seed below), so each task owns per_k[k-2] and the
   // Eq. 6 mean below accumulates in k order — identical for any thread
@@ -45,7 +49,7 @@ ClusterScoreResult cluster_score_from_normalized(
     config.max_iters = options.kmeans_max_iters;
     // Stable per-k seed so adding workloads does not reshuffle smaller k.
     config.seed = options.seed + k * 1000003ull;
-    const auto clustering = cluster::kmeans(normalized, config);
+    const auto clustering = cluster::kmeans(normalized, squared, config);
     result.per_k[k - 2] = cluster::silhouette_score_from_distances(
         dist, clustering.labels, k);  // Eq. 5
   });

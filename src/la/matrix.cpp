@@ -231,17 +231,23 @@ double dot(std::span<const double> a, std::span<const double> b) {
 
 double norm(std::span<const double> v) { return std::sqrt(dot(v, v)); }
 
-Matrix pairwise_distances(const Matrix& points) {
+Matrix pairwise_squared_distances(const Matrix& points) {
   Matrix d(points.rows(), points.rows(), 0.0);
   // Task i writes (i,j) and (j,i) for j > i only, so no element is touched
   // by two tasks and every element's value is independent of scheduling.
   par::parallel_for(points.rows(), [&](std::size_t i) {
     for (std::size_t j = i + 1; j < points.rows(); ++j) {
-      const double dist = euclidean_distance(points.row(i), points.row(j));
-      d(i, j) = dist;
-      d(j, i) = dist;
+      const double squared = squared_distance(points.row(i), points.row(j));
+      d(i, j) = squared;
+      d(j, i) = squared;
     }
   });
+  return d;
+}
+
+Matrix pairwise_distances(const Matrix& points) {
+  Matrix d = pairwise_squared_distances(points);
+  for (double& v : d.data()) v = std::sqrt(v);
   return d;
 }
 

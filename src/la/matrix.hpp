@@ -125,8 +125,15 @@ double dot(std::span<const double> a, std::span<const double> b);
 /// Euclidean (L2) norm.
 double norm(std::span<const double> v);
 
-/// Pairwise Euclidean distance matrix of the rows of `points`
-/// (symmetric, zero diagonal).
+/// Pairwise squared Euclidean distance matrix of the rows of `points`:
+/// entry (i,j) is squared_distance(row i, row j), bitwise symmetric with
+/// a zero diagonal. Bitwise symmetric because fl(a-b) = -fl(b-a), so both
+/// argument orders sum the same squares in the same order.
+Matrix pairwise_squared_distances(const Matrix& points);
+
+/// Pairwise Euclidean distance matrix of the rows of `points`: the
+/// elementwise sqrt of pairwise_squared_distances, so each entry has the
+/// bits of euclidean_distance (symmetric, zero diagonal).
 Matrix pairwise_distances(const Matrix& points);
 
 }  // namespace perspector::la

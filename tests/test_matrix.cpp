@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace perspector::la {
@@ -194,6 +197,33 @@ TEST(VectorOps, PairwiseDistancesSymmetricZeroDiagonal) {
   EXPECT_DOUBLE_EQ(d(0, 1), 5.0);
   EXPECT_DOUBLE_EQ(d(1, 0), 5.0);
   EXPECT_DOUBLE_EQ(d(0, 2), 10.0);
+}
+
+TEST(Matrix, PairwiseSquaredDistancesAreBitwiseSymmetricOnTiesAndDuplicates) {
+  // Rows 0/3 and 2/5 are duplicates; the levels are inexact binary
+  // fractions, so a-b rounds and equal distances arise between
+  // different pairs (ties).
+  const Matrix points{{0.1, 0.7, 0.3},  {0.3, 0.1, 0.7}, {0.7, 0.3, 0.1},
+                      {0.1, 0.7, 0.3},  {0.7, 0.1, 0.3}, {0.7, 0.3, 0.1},
+                      {1e-9, 0.3, 0.7}, {0.3, 0.3, 0.3}};
+  const Matrix squared = pairwise_squared_distances(points);
+  const Matrix dist = pairwise_distances(points);
+  ASSERT_EQ(squared.rows(), points.rows());
+  ASSERT_EQ(squared.cols(), points.rows());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < points.rows(); ++i) {
+    EXPECT_EQ(bits(squared(i, i)), bits(0.0)) << i;
+    for (std::size_t j = 0; j < points.rows(); ++j) {
+      EXPECT_EQ(bits(squared(i, j)), bits(squared(j, i))) << i << "," << j;
+      EXPECT_EQ(bits(squared(i, j)),
+                bits(squared_distance(points.row(j), points.row(i))))
+          << i << "," << j;
+      EXPECT_EQ(bits(std::sqrt(squared(i, j))), bits(dist(i, j)))
+          << i << "," << j;
+    }
+  }
+  EXPECT_EQ(bits(squared(0, 3)), bits(0.0));
+  EXPECT_EQ(bits(squared(2, 5)), bits(0.0));
 }
 
 TEST(Matrix, ToStringRendersRows) {
