@@ -162,7 +162,7 @@ core::CounterMatrix kernel_suite(std::size_t workloads, std::size_t counters,
   la::Matrix values;
   std::vector<std::vector<std::vector<double>>> series;
   for (std::size_t w = 0; w < workloads; ++w) {
-    names.push_back("w" + std::to_string(w));
+    names.push_back(std::string("w").append(std::to_string(w)));
     std::vector<std::vector<double>> per_counter;
     std::vector<double> totals;
     for (std::size_t c = 0; c < counters; ++c) {
@@ -184,7 +184,8 @@ core::CounterMatrix kernel_suite(std::size_t workloads, std::size_t counters,
                              [&] {
                                std::vector<std::string> cs;
                                for (std::size_t c = 0; c < counters; ++c) {
-                                 cs.push_back("c" + std::to_string(c));
+                                 cs.push_back(std::string("c").append(
+                                     std::to_string(c)));
                                }
                                return cs;
                              }(),

@@ -192,7 +192,7 @@ DeltaResult run_delta(const bench::BenchConfig& config) {
 
   DeltaResult result;
   for (std::size_t r = 0; r < kDeltaRepeats; ++r) {
-    add.id = "a" + std::to_string(r);
+    add.id = std::string("a").append(std::to_string(r));
     const auto t0 = Clock::now();
     const serve::MutateResponse response = engine.mutate(add);
     const auto t1 = Clock::now();
@@ -204,7 +204,7 @@ DeltaResult run_delta(const bench::BenchConfig& config) {
     const double us =
         std::chrono::duration<double, std::micro>(t1 - t0).count();
     if (r == 0 || us < result.delta_us) result.delta_us = us;
-    drop.id = "d" + std::to_string(r);
+    drop.id = std::string("d").append(std::to_string(r));
     if (!engine.mutate(drop).ok) {
       std::cerr << "delta bench: drop_workload failed\n";
       std::exit(1);
@@ -216,7 +216,7 @@ DeltaResult run_delta(const bench::BenchConfig& config) {
   for (std::size_t r = 0; r < kDeltaRepeats; ++r) {
     serve::Engine cold(no_cache);  // fresh workspace: a true full prime
     serve::ScoreRequest request;
-    request.id = "f" + std::to_string(r);
+    request.id = std::string("f").append(std::to_string(r));
     request.data = full_content;
     const auto t0 = Clock::now();
     const serve::ScoreResponse response = cold.score(request);

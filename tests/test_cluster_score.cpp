@@ -12,10 +12,10 @@ namespace {
 CounterMatrix make_suite(const la::Matrix& values) {
   std::vector<std::string> workloads, counters;
   for (std::size_t w = 0; w < values.rows(); ++w) {
-    workloads.push_back("w" + std::to_string(w));
+    workloads.push_back(std::string("w").append(std::to_string(w)));
   }
   for (std::size_t c = 0; c < values.cols(); ++c) {
-    counters.push_back("c" + std::to_string(c));
+    counters.push_back(std::string("c").append(std::to_string(c)));
   }
   return CounterMatrix("suite", workloads, counters, values);
 }

@@ -161,7 +161,7 @@ CounterMatrix phased_suite(std::size_t workloads) {
   la::Matrix values;
   std::vector<std::vector<std::vector<double>>> series;
   for (std::size_t w = 0; w < workloads; ++w) {
-    names.push_back("w" + std::to_string(w));
+    names.push_back(std::string("w").append(std::to_string(w)));
     std::vector<std::vector<double>> per_counter;
     for (std::size_t c = 0; c < 2; ++c) {
       std::vector<double> s(48, 1.0);

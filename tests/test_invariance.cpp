@@ -24,10 +24,10 @@ CounterMatrix random_suite(std::uint64_t seed, std::size_t n = 9,
   la::Matrix values(n, m);
   std::vector<std::vector<std::vector<double>>> series;
   for (std::size_t c = 0; c < m; ++c) {
-    counters.push_back("c" + std::to_string(c));
+    counters.push_back(std::string("c").append(std::to_string(c)));
   }
   for (std::size_t w = 0; w < n; ++w) {
-    workloads.push_back("w" + std::to_string(w));
+    workloads.push_back(std::string("w").append(std::to_string(w)));
     std::vector<std::vector<double>> per_counter;
     for (std::size_t c = 0; c < m; ++c) {
       values(w, c) = rng.uniform(0.0, 1e6);

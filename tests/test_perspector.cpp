@@ -18,10 +18,10 @@ CounterMatrix synthetic_suite(const std::string& name, std::size_t n,
   la::Matrix values(n, 6);
   std::vector<std::vector<std::vector<double>>> series;
   for (std::size_t c = 0; c < 6; ++c) {
-    counters.push_back("c" + std::to_string(c));
+    counters.push_back(std::string("c").append(std::to_string(c)));
   }
   for (std::size_t w = 0; w < n; ++w) {
-    workloads.push_back("w" + std::to_string(w));
+    workloads.push_back(std::string("w").append(std::to_string(w)));
     std::vector<std::vector<double>> per_counter;
     for (std::size_t c = 0; c < 6; ++c) {
       values(w, c) = scale * rng.uniform();

@@ -79,7 +79,7 @@ TEST(ScoresTable, OneRowPerSuite) {
   a.suite = "A";
   a.cluster = 0.1;
   a.trend = 2.0;
-  b.suite = "B";
+  b.suite = std::string("B");
   const Table t = scores_table({a, b});
   EXPECT_EQ(t.rows(), 2u);
   const std::string text = t.to_text();

@@ -16,10 +16,10 @@ CounterMatrix synthetic_suite(std::size_t n, std::uint64_t seed,
   la::Matrix values(n, 5);
   std::vector<std::vector<std::vector<double>>> series;
   for (std::size_t c = 0; c < 5; ++c) {
-    counters.push_back("c" + std::to_string(c));
+    counters.push_back(std::string("c").append(std::to_string(c)));
   }
   for (std::size_t w = 0; w < n; ++w) {
-    workloads.push_back("w" + std::to_string(w));
+    workloads.push_back(std::string("w").append(std::to_string(w)));
     std::vector<std::vector<double>> per_counter;
     for (std::size_t c = 0; c < 5; ++c) {
       values(w, c) = (with_outlier && w == 0) ? 100.0 : rng.uniform();

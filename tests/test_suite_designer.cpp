@@ -18,18 +18,18 @@ CounterMatrix structured_pool(std::uint64_t seed) {
   std::vector<std::string> workloads, counters;
   la::Matrix values;
   for (std::size_t c = 0; c < 6; ++c) {
-    counters.push_back("c" + std::to_string(c));
+    counters.push_back(std::string("c").append(std::to_string(c)));
   }
   // 8 near-clones huddled at 0.5.
   for (std::size_t w = 0; w < 8; ++w) {
-    workloads.push_back("clone" + std::to_string(w));
+    workloads.push_back(std::string("clone").append(std::to_string(w)));
     std::vector<double> row(6);
     for (double& v : row) v = 0.5 + rng.uniform(-0.01, 0.01);
     values.append_row(row);
   }
   // 12 spread workloads.
   for (std::size_t w = 0; w < 12; ++w) {
-    workloads.push_back("spread" + std::to_string(w));
+    workloads.push_back(std::string("spread").append(std::to_string(w)));
     std::vector<double> row(6);
     for (double& v : row) v = rng.uniform();
     values.append_row(row);

@@ -17,7 +17,7 @@ CounterMatrix suite_with_series(
   la::Matrix values;
   std::vector<std::vector<std::vector<double>>> series;
   for (std::size_t w = 0; w < series_per_workload.size(); ++w) {
-    workloads.push_back("w" + std::to_string(w));
+    workloads.push_back(std::string("w").append(std::to_string(w)));
     double total = 0.0;
     for (double v : series_per_workload[w]) total += v;
     values.append_row(std::vector<double>{total});

@@ -42,7 +42,7 @@ CounterMatrix phased_suite(std::size_t workloads) {
   la::Matrix values;
   std::vector<std::vector<std::vector<double>>> series;
   for (std::size_t w = 0; w < workloads; ++w) {
-    names.push_back("w" + std::to_string(w));
+    names.push_back(std::string("w").append(std::to_string(w)));
     std::vector<std::vector<double>> per_counter;
     for (std::size_t c = 0; c < 2; ++c) {
       std::vector<double> s(48, 1.0);
@@ -243,7 +243,8 @@ TEST(WorkspaceDelta, SoakKeepsResidencyAndCopiesBoundedByLiveSize) {
   std::vector<SoakWorkload> live;
   std::size_t next_name = 0;
   for (; next_name < 6; ++next_name) {
-    live.push_back({"w" + std::to_string(next_name), soak_series(rng)});
+    live.push_back({std::string("w").append(std::to_string(next_name)),
+                    soak_series(rng)});
   }
   ScoringWorkspace warm;
   warm.prime_trend(soak_suite(live), options);
@@ -274,7 +275,8 @@ TEST(WorkspaceDelta, SoakKeepsResidencyAndCopiesBoundedByLiveSize) {
   };
   const auto add = [&] {
     const std::uint64_t before = copied.value();
-    live.push_back({"w" + std::to_string(next_name++), soak_series(rng)});
+    live.push_back({std::string("w").append(std::to_string(next_name++)),
+                    soak_series(rng)});
     ASSERT_TRUE(warm.upsert_row(soak_suite(live), live.size() - 1, options));
     expect_bounded(before);
   };
@@ -325,7 +327,7 @@ CounterMatrix aggregate_suite() {
   std::vector<std::string> names;
   la::Matrix values;
   for (std::size_t w = 0; w < 9; ++w) {
-    names.push_back("a" + std::to_string(w));
+    names.push_back(std::string("a").append(std::to_string(w)));
     values.append_row(std::vector<double>{rng.uniform(0.0, 10.0),
                                           rng.uniform(0.0, 10.0),
                                           rng.uniform(0.0, 10.0)});
