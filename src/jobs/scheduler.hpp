@@ -5,10 +5,13 @@
 // the serving loop calls step() whenever its input is idle, and each
 // step advances ONE job by at most `slice_candidates` candidate
 // evaluations (the evaluations themselves parallelize internally on the
-// deterministic par:: pool). Jobs therefore interleave round-robin at
-// slice granularity, protocol requests are never starved for longer
-// than one slice, and a single-threaded forked worker runs jobs without
-// violating the no-threads-in-workers invariant.
+// deterministic par:: pool). A slice also ends at a candidate boundary
+// when the caller's should_yield predicate says a request is waiting, so
+// a request waits for at most one candidate — except behind a step that
+// had to build its search context, which runs a full slice. Jobs
+// interleave round-robin at slice granularity, and a single-threaded
+// forked worker runs jobs without violating the no-threads-in-workers
+// invariant.
 //
 // Admission is two-tier: a global cap on active (queued + running) jobs
 // and a per-client cap, both answered with a structured `overloaded`
@@ -31,12 +34,13 @@
 // share evaluations. Cache hits return the recorded outcome, which is
 // bit-identical to a recompute, so the determinism contract holds.
 //
-// Checkpoints: every `checkpoint_every` evaluated candidates — and at
-// every terminal transition — the job's full state is appended to its
-// store::CheckpointLog. An op naming an unknown job id triggers a
-// checkpoint lookup, so a respawned worker transparently resumes jobs
-// it has never heard of; a resumed job re-evaluates at most one
-// checkpoint cadence and lands on the byte-identical final subset.
+// Checkpoints: every `checkpoint_every` evaluated candidates, rounded up
+// to whole slices — and at every terminal transition — the job's full
+// state is appended to its store::CheckpointLog. An op naming an unknown
+// job id triggers a checkpoint lookup, so a respawned worker
+// transparently resumes jobs it has never heard of; a resumed job
+// re-evaluates at most one checkpoint cadence and lands on the
+// byte-identical final subset.
 //
 // Counters: jobs.submitted, jobs.duplicate_submits, jobs.rejected,
 // jobs.completed, jobs.cancelled, jobs.failed, jobs.resumed,
@@ -46,6 +50,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -125,7 +130,12 @@ class Scheduler {
   bool runnable();
   /// Advances one job by one slice. Safe to call concurrently (one
   /// caller runs the slice, the rest return immediately) and when idle.
-  void step();
+  /// After each evaluated candidate but the last, a true `should_yield()`
+  /// ends the slice early; a step that built its job's search context
+  /// does not ask. A slice never crosses a checkpoint boundary (a
+  /// multiple of checkpoint_every rounded up to whole slices), so
+  /// checkpoints land on the same counts however early slices end.
+  void step(const std::function<bool()>& should_yield = {});
   /// Drives every active job to a terminal state (tests, CLI).
   void drain();
 
@@ -142,15 +152,19 @@ class Scheduler {
   std::string checkpoint_path(const std::string& id) const;
   std::size_t active_count_locked() const;
   std::size_t active_count_locked(const std::string& client) const;
-  /// The shared context for `spec`, built (unlocked) on a miss. Called
-  /// by the stepper only; throws what SearchContext's constructor throws.
-  std::shared_ptr<const SearchContext> context_for(const JobSpec& spec);
+  /// The shared context for `spec`, built (unlocked) on a miss, which
+  /// sets `built`. Called by the stepper only; throws what
+  /// SearchContext's constructor throws.
+  std::shared_ptr<const SearchContext> context_for(const JobSpec& spec,
+                                                   bool& built);
 
   /// Search contexts kept for reuse: one per suite in flight is enough
   /// for jobs to share, and each holds a whole suite with its DTW cache.
   static constexpr std::size_t kContextSlots = 4;
 
   SchedulerOptions options_;
+  /// checkpoint_every rounded up to whole slices (0 = terminal only).
+  std::uint64_t checkpoint_period_ = 0;
   std::mutex mutex_;
   std::map<std::string, std::shared_ptr<Job>> jobs_;
   std::string cursor_;  // round-robin: last stepped job id

@@ -46,7 +46,7 @@ JobResponse ScoreBackend::job(const JobRequest& request) {
 
 bool ScoreBackend::jobs_runnable() { return false; }
 
-void ScoreBackend::jobs_step() {}
+void ScoreBackend::jobs_step(const std::function<bool()>&) {}
 
 MutateResponse ScoreBackend::mutate(const MutateRequest& request) {
   MutateResponse response;

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -198,9 +199,11 @@ class ScoreBackend {
   /// time should advance jobs or block on input.
   virtual bool jobs_runnable();
 
-  /// Advances job execution by one bounded slice (see
-  /// jobs::Scheduler::step). The base implementation is a no-op.
-  virtual void jobs_step();
+  /// Advances job execution by one bounded slice, which ends early at a
+  /// candidate boundary once `should_yield()` is true — the serving loop
+  /// passes "a request is waiting" (see jobs::Scheduler::step). The base
+  /// implementation is a no-op.
+  virtual void jobs_step(const std::function<bool()>& should_yield = {});
 
   /// The request's content key (memoized where possible). Never throws;
   /// a request with nothing to score digests to a fixed empty-domain key.

@@ -217,7 +217,9 @@ JobResponse Engine::job(const JobRequest& request) {
 
 bool Engine::jobs_runnable() { return jobs_->runnable(); }
 
-void Engine::jobs_step() { jobs_->step(); }
+void Engine::jobs_step(const std::function<bool()>& should_yield) {
+  jobs_->step(should_yield);
+}
 
 std::string Engine::metrics_line(const std::string& id) {
   return serialize_metrics(id);

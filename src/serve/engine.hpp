@@ -130,7 +130,7 @@ class Engine : public ScoreBackend {
   /// advances via jobs_step() whenever the serving loop is idle.
   JobResponse job(const JobRequest& request) override;
   bool jobs_runnable() override;
-  void jobs_step() override;
+  void jobs_step(const std::function<bool()>& should_yield = {}) override;
 
   Key128 content_key(const ScoreRequest& request) override;
   std::string metrics_line(const std::string& id) override;
