@@ -1,28 +1,23 @@
-// Ingest throughput bench: MB/s of the aggregate-CSV readers over a
-// large synthetic counter file — the slurp baseline vs the streamed
-// pipeline (src/ingest/) with and without the dedicated IO thread.
+// Ingest throughput bench: MB/s of the aggregate-CSV file reader over a
+// large synthetic counter file.
 //
 //   bench_ingest_throughput [--mb N] [--out <path>]
 //
 // The input is generated deterministically into the system temp
 // directory (deleted on exit): one row per synthetic workload, the 14
 // Table-IV counter columns, formulaic values — so two runs on the same
-// flags parse byte-identical files. Each mode gets one untimed warm-up
-// pass (which also verifies the streamed matrices are field-identical
-// to the slurped one) and reports the best of three timed passes; CI
+// flags parse byte-identical files. One untimed warm-up pass checks the
+// parsed shape, then the best of three timed passes is reported; CI
 // diffs two runs of this bench with perf_check, so the committed number
 // must be the repeatable one.
 //
-// Metric names use the `_mbps` suffix (higher is better under
-// perf_check): ingest_slurp_mbps, ingest_stream1t_mbps, and the gated
-// headline ingest_mbps (streamed, IO thread on). stream_speedup is the
-// informational streamed/slurp ratio the acceptance run records.
+// The one metric, ingest_mbps, uses the `_mbps` suffix (higher is better
+// under perf_check).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -38,10 +33,14 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kRepeats = 3;
 
+struct Generated {
+  std::uint64_t bytes = 0;
+  std::uint64_t rows = 0;
+};
+
 /// Writes ~`target_bytes` of aggregate CSV (header + whole rows, so the
-/// file is always well-formed) and returns the exact size written.
-std::uint64_t generate_csv(const std::string& path,
-                           std::uint64_t target_bytes) {
+/// file is always well-formed) and returns the exact size and row count.
+Generated generate_csv(const std::string& path, std::uint64_t target_bytes) {
   std::ofstream out(path, std::ios::binary);
   if (!out) {
     std::cerr << "cannot open '" << path << "' for writing\n";
@@ -56,12 +55,14 @@ std::uint64_t generate_csv(const std::string& path,
   header += '\n';
   out << header;
   std::uint64_t written = header.size();
+  std::uint64_t rows = 0;
 
   const std::size_t counters = counter_names.size();
   std::string buffer;
   buffer.reserve(1 << 20);
   char cell[64];
-  for (std::uint64_t w = 0; written < target_bytes; ++w) {
+  for (; written < target_bytes; ++rows) {
+    const std::uint64_t w = rows;
     std::snprintf(cell, sizeof cell, "workload-%08llu",
                   static_cast<unsigned long long>(w));
     buffer += cell;
@@ -89,66 +90,36 @@ std::uint64_t generate_csv(const std::string& path,
     std::cerr << "write failed for '" << path << "'\n";
     std::exit(1);
   }
-  return written;
+  return {written, rows};
 }
 
-/// Order-sensitive FNV-1a over every name and value bit pattern. The
-/// modes are verified by fingerprint instead of by keeping a reference
-/// matrix resident: at this scale a second quarter-GB matrix measurably
-/// depresses the timed passes (allocator page churn), and the exact
-/// streamed-vs-slurp byte identity is already pinned by tests.
-std::uint64_t fingerprint(const core::CounterMatrix& m) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
+/// One warm-up pass (shape-checked, then freed so the timed passes see a
+/// clean allocator) + the best of kRepeats timed passes, in MB/s.
+double measure_mbps(const std::string& path, const Generated& input,
+                    std::size_t counters) {
+  const auto read = [&path] {
+    return core::read_aggregates_csv("bench", path);
   };
-  for (const auto& name : m.workload_names()) mix(name.data(), name.size());
-  for (const auto& name : m.counter_names()) mix(name.data(), name.size());
-  for (std::size_t w = 0; w < m.num_workloads(); ++w) {
-    for (std::size_t c = 0; c < m.num_counters(); ++c) {
-      const double v = m.values()(w, c);
-      mix(&v, sizeof v);
+  {
+    const core::CounterMatrix data = read();
+    if (data.num_workloads() != input.rows ||
+        data.num_counters() != counters) {
+      std::cerr << "parsed " << data.num_workloads() << " x "
+                << data.num_counters() << ", expected " << input.rows
+                << " x " << counters << "\n";
+      std::exit(1);
     }
   }
-  return h;
-}
-
-struct ModeResult {
-  std::string mode;
   double best_ms = 0.0;
-  double mbps = 0.0;
-};
-
-/// One warm-up pass (fingerprint-verified, then freed so the timed
-/// passes see a clean allocator) + best-of-kRepeats timed passes.
-ModeResult run_mode(const std::string& mode, std::uint64_t bytes,
-                    const std::function<core::CounterMatrix()>& read,
-                    std::uint64_t expected_fingerprint) {
-  if (fingerprint(read()) != expected_fingerprint) {
-    std::cerr << "streamed/slurp mismatch in mode '" << mode << "'\n";
-    std::exit(1);
-  }
-
-  ModeResult result;
-  result.mode = mode;
   for (std::size_t r = 0; r < kRepeats; ++r) {
     const auto t0 = Clock::now();
     const core::CounterMatrix data = read();
     const auto t1 = Clock::now();
-    if (data.num_workloads() == 0) {
-      std::cerr << "empty matrix in mode '" << mode << "'\n";
-      std::exit(1);
-    }
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (r == 0 || ms < result.best_ms) result.best_ms = ms;
+    if (r == 0 || ms < best_ms) best_ms = ms;
   }
-  result.mbps = static_cast<double>(bytes) / 1e6 / (result.best_ms / 1e3);
-  return result;
+  return static_cast<double>(input.bytes) / 1e6 / (best_ms / 1e3);
 }
 
 }  // namespace
@@ -176,45 +147,18 @@ int main(int argc, char** argv) {
           .string();
   std::cerr << "generating " << megabytes << " MB synthetic aggregate CSV at "
             << path << "...\n";
-  const std::uint64_t bytes = generate_csv(path, megabytes << 20);
-  std::cerr << "  " << bytes << " bytes written\n";
-
-  // The slurp result is the reference fingerprint every streamed mode's
-  // warm-up must reproduce (the temporary matrix is freed immediately).
-  const std::uint64_t reference =
-      fingerprint(core::read_aggregates_csv_slurp("bench", path));
-
-  std::vector<ModeResult> rows;
-  rows.push_back(run_mode("slurp", bytes, [&] {
-    return core::read_aggregates_csv_slurp("bench", path);
-  }, reference));
-  core::StreamedReadOptions one_thread;
-  one_thread.io_thread = false;
-  rows.push_back(run_mode("stream-1t", bytes, [&] {
-    return core::read_aggregates_csv_streamed("bench", path, one_thread);
-  }, reference));
-  rows.push_back(run_mode("stream-io", bytes, [&] {
-    return core::read_aggregates_csv_streamed("bench", path);
-  }, reference));
-
+  const Generated input = generate_csv(path, megabytes << 20);
+  std::cerr << "  " << input.bytes << " bytes written\n";
+  const double mbps =
+      measure_mbps(path, input, sim::pmu_event_names().size());
   std::filesystem::remove(path);
 
-  core::Table table({"mode", "best ms", "MB/s"});
-  for (const auto& r : rows) {
-    table.add_row({r.mode, core::format_double(r.best_ms, 1),
-                   core::format_double(r.mbps, 1)});
-  }
-  const double speedup = rows[2].mbps / rows[0].mbps;
   std::cout << "Aggregate-CSV ingest throughput (" << megabytes
-            << " MB, best of " << kRepeats << ")\n\n"
-            << table.to_text() << "\nstreamed/slurp speedup: "
-            << core::format_double(speedup, 2) << "x\n";
+            << " MB, best of " << kRepeats
+            << "): " << core::format_double(mbps, 1) << " MB/s\n";
 
   bench::BenchReport report("ingest_throughput", config);
-  report.add_metric("ingest_slurp_mbps", rows[0].mbps);
-  report.add_metric("ingest_stream1t_mbps", rows[1].mbps);
-  report.add_metric("ingest_mbps", rows[2].mbps);
-  report.add_metric("stream_speedup", speedup);
+  report.add_metric("ingest_mbps", mbps);
   report.write(out_path);
   return 0;
 }

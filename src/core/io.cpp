@@ -1,12 +1,9 @@
 #include "core/io.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -22,46 +19,6 @@ namespace {
 
 using ingest::csv_location;
 
-// Minimal RFC-4180-ish CSV line splitter (handles quoted cells with
-// embedded commas and doubled quotes). `byte_offset` is the line's first
-// byte in the input, reported alongside the line number so errors stay
-// greppable in GB-scale files.
-std::vector<std::string> split_csv_line(const std::string& line,
-                                        std::size_t line_no,
-                                        std::uint64_t byte_offset) {
-  std::vector<std::string> cells;
-  std::string cell;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char ch = line[i];
-    if (quoted) {
-      if (ch == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cell += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        cell += ch;
-      }
-    } else if (ch == '"') {
-      quoted = true;
-    } else if (ch == ',') {
-      cells.push_back(std::move(cell));
-      cell.clear();
-    } else if (ch != '\r') {
-      cell += ch;
-    }
-  }
-  if (quoted) {
-    throw std::runtime_error(csv_location(line_no, byte_offset) +
-                             ": unterminated quote");
-  }
-  cells.push_back(std::move(cell));
-  return cells;
-}
-
 std::string csv_escape(const std::string& cell) {
   if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
   std::string out = "\"";
@@ -73,9 +30,15 @@ std::string csv_escape(const std::string& cell) {
   return out;
 }
 
+/// The one cell -> double conversion of every reader: the ingest fast
+/// path covers short plain decimals with a correctly-rounded (bit-identical
+/// to from_chars) multiply, and everything it declines — long
+/// significands, extreme exponents, nan/inf, malformed cells — re-parses
+/// through from_chars, which alone decides what is rejected.
 double parse_double(std::string_view cell, std::size_t line_no,
                     std::uint64_t byte_offset) {
   double value = 0.0;
+  if (ingest::parse_number(cell, value)) return value;
   const char* first = cell.data();
   const char* last = cell.data() + cell.size();
   const auto [ptr, ec] = std::from_chars(first, last, value);
@@ -93,29 +56,6 @@ double parse_double(std::string_view cell, std::size_t line_no,
                              "' is not allowed");
   }
   return value;
-}
-
-/// Streamed-path variant of parse_double: the ingest fast path covers
-/// short plain decimals with a correctly-rounded (bit-identical to
-/// from_chars) multiply, and everything it declines — long significands,
-/// extreme exponents, nan/inf, malformed cells — re-parses through
-/// parse_double above, so the accepted inputs, the parsed bits, and every
-/// error message stay exactly the slurp reader's.
-double parse_double_fast(std::string_view cell, std::size_t line_no,
-                         std::uint64_t byte_offset) {
-  double value = 0.0;
-  if (ingest::parse_number(cell, value)) return value;
-  return parse_double(cell, line_no, byte_offset);
-}
-
-/// Drops a leading UTF-8 byte-order mark (EF BB BF) from the first line —
-/// spreadsheet exports and Windows producers routinely prepend one, and it
-/// would otherwise corrupt the first header cell.
-void strip_utf8_bom(std::string& line) {
-  if (line.size() >= 3 && line[0] == '\xEF' && line[1] == '\xBB' &&
-      line[2] == '\xBF') {
-    line.erase(0, 3);
-  }
 }
 
 std::size_t parse_index(std::string_view cell, std::size_t line_no,
@@ -140,7 +80,7 @@ std::ofstream open_for_write(const std::string& path) {
 }
 
 std::ifstream open_for_read(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw std::runtime_error("cannot open '" + path + "' for reading");
   }
@@ -240,55 +180,123 @@ std::string write_series_csv_text(const CounterMatrix& data) {
 
 namespace {
 
-/// Shared body of the file and in-memory aggregate readers. `origin` is
-/// the label used in error messages (the path, for files).
-CounterMatrix read_aggregates_stream(const std::string& suite_name,
-                                     std::istream& in,
-                                     const std::string& origin) {
-  std::string line;
-  if (!std::getline(in, line)) {
+using Series = std::vector<std::vector<std::vector<double>>>;
+
+/// Reads the data rows after an aggregate header onto `workloads` and
+/// `values`. Each row carries a workload name not yet in `seen` (which
+/// indexes `workloads`) and `counters` values, taken in `map`'s column
+/// order when one is given.
+void append_aggregate_rows(ingest::CsvStream& rows, std::size_t counters,
+                           const ingest::ColumnMap* map,
+                           ingest::NameIndex& seen,
+                           std::vector<std::string>& workloads,
+                           la::Matrix& values) {
+  std::vector<std::string_view> rearranged;
+  std::vector<double> row(counters);
+  bool reserved = false;
+  while (rows.next_row()) {
+    const auto& cells = rows.cells();
+    if (cells.size() != counters + 1) {
+      throw std::runtime_error(rows.location() + ": expected " +
+                               std::to_string(counters + 1) + " cells, got " +
+                               std::to_string(cells.size()));
+    }
+    if (!reserved) {
+      // Capacities estimated from the input size and the first row's
+      // width, so a multi-million-row file pays no regrow or rehash.
+      reserved = true;
+      std::size_t line_bytes = cells.size();  // separators + newline
+      for (const auto& cell : cells) line_bytes += cell.size();
+      const std::size_t estimate =
+          static_cast<std::size_t>(rows.size_hint() / line_bytes) + 16;
+      workloads.reserve(workloads.size() + estimate);
+      values.reserve(values.rows() + estimate, counters);
+      seen.reserve(workloads.size() + estimate);
+    }
+    if (seen.insert(cells[0], workloads.size(), workloads) !=
+        ingest::NameIndex::npos) {
+      throw std::runtime_error(rows.location() + ": duplicate workload '" +
+                               std::string(cells[0]) + "'");
+    }
+    workloads.emplace_back(cells[0]);
+    const std::string_view* value_cells = cells.data() + 1;
+    if (map != nullptr) {
+      map->rearrange(cells, rearranged);
+      value_cells = rearranged.data();
+    }
+    for (std::size_t c = 0; c < counters; ++c) {
+      row[c] = parse_double(value_cells[c], rows.line_no(), rows.byte_offset());
+    }
+    values.append_row(row);
+  }
+}
+
+/// Reads a long-format series CSV from `rows` onto `series`, indexed by
+/// the workloads and counters of `names`; each sample must continue its
+/// (workload, counter) series densely. Returns the number of data rows
+/// and marks the workload of each in `touched` when given.
+std::size_t read_series_rows(ingest::CsvStream& rows,
+                             const std::string& origin,
+                             const CounterMatrix& names, Series& series,
+                             std::vector<bool>* touched) {
+  const bool header_ok = rows.next_row() && rows.cells().size() == 4 &&
+                         rows.cells()[0] == "workload" &&
+                         rows.cells()[1] == "counter" &&
+                         rows.cells()[2] == "sample" &&
+                         rows.cells()[3] == "value";
+  if (!header_ok) {
+    throw std::runtime_error(
+        "'" + origin + "': header must be 'workload,counter,sample,value'");
+  }
+  std::size_t count = 0;
+  while (rows.next_row()) {
+    const auto& cells = rows.cells();
+    if (cells.size() != 4) {
+      throw std::runtime_error(rows.location() + ": expected 4 cells");
+    }
+    std::size_t w = 0;
+    std::size_t c = 0;
+    try {
+      w = names.workload_index(std::string(cells[0]));
+      c = names.counter_index(std::string(cells[1]));
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(rows.location() + ": " + e.what());
+    }
+    const std::size_t s =
+        parse_index(cells[2], rows.line_no(), rows.byte_offset());
+    auto& target = series[w][c];
+    if (s != target.size()) {
+      throw std::runtime_error(
+          rows.location() + ": sample indices must be dense from 0 (expected " +
+          std::to_string(target.size()) + ", got " + std::to_string(s) + ")");
+    }
+    target.push_back(
+        parse_double(cells[3], rows.line_no(), rows.byte_offset()));
+    if (touched != nullptr) (*touched)[w] = true;
+    ++count;
+  }
+  return count;
+}
+
+}  // namespace
+
+CounterMatrix read_aggregates_rows(const std::string& suite_name,
+                                   ingest::CsvStream& rows,
+                                   const std::string& origin) {
+  if (!rows.next_row()) {
     throw std::runtime_error("'" + origin + "': empty file");
   }
-  // Byte offset of the line just read; getline consumed line.size() bytes
-  // plus one '\n' (the final line may lack one, but then no further line
-  // follows and the over-count is never observed).
-  std::uint64_t offset = 0;
-  std::uint64_t consumed = line.size() + 1;
-  strip_utf8_bom(line);
-  auto header = split_csv_line(line, 1, 0);
+  const auto& header = rows.cells();
   if (header.size() < 2 || header[0] != "workload") {
     throw std::runtime_error(
         "'" + origin + "': header must be 'workload,<counter>,...'");
   }
   std::vector<std::string> counters(header.begin() + 1, header.end());
-
   std::vector<std::string> workloads;
-  std::set<std::string> seen;
   la::Matrix values;
-  std::size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    offset = consumed;
-    consumed += line.size() + 1;
-    if (line.empty()) continue;
-    const auto cells = split_csv_line(line, line_no, offset);
-    if (cells.size() != counters.size() + 1) {
-      throw std::runtime_error(
-          csv_location(line_no, offset) + ": expected " +
-          std::to_string(counters.size() + 1) + " cells, got " +
-          std::to_string(cells.size()));
-    }
-    if (!seen.insert(cells[0]).second) {
-      throw std::runtime_error(csv_location(line_no, offset) +
-                               ": duplicate workload '" + cells[0] + "'");
-    }
-    workloads.push_back(cells[0]);
-    std::vector<double> row(counters.size());
-    for (std::size_t c = 0; c < counters.size(); ++c) {
-      row[c] = parse_double(cells[c + 1], line_no, offset);
-    }
-    values.append_row(row);
-  }
+  ingest::NameIndex seen;
+  append_aggregate_rows(rows, counters.size(), nullptr, seen, workloads,
+                        values);
   if (workloads.empty()) {
     throw std::runtime_error("'" + origin + "': no data rows");
   }
@@ -296,165 +304,38 @@ CounterMatrix read_aggregates_stream(const std::string& suite_name,
                        std::move(values));
 }
 
-/// Shared body of the file and in-memory series readers: parses the long
-/// format from `in` and returns `bare` with the series attached.
-CounterMatrix attach_series_stream(const CounterMatrix& bare,
-                                   std::istream& in,
-                                   const std::string& origin) {
-  std::vector<std::vector<std::vector<double>>> series(
-      bare.num_workloads(),
-      std::vector<std::vector<double>>(bare.num_counters()));
-
-  std::string line;
-  bool have_header = static_cast<bool>(std::getline(in, line));
-  std::uint64_t offset = 0;
-  std::uint64_t consumed = have_header ? line.size() + 1 : 0;
-  if (have_header) strip_utf8_bom(line);
-  if (!have_header ||
-      split_csv_line(line, 1, 0) !=
-          std::vector<std::string>{"workload", "counter", "sample", "value"}) {
-    throw std::runtime_error(
-        "'" + origin +
-        "': header must be 'workload,counter,sample,value'");
-  }
-  std::size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    offset = consumed;
-    consumed += line.size() + 1;
-    if (line.empty()) continue;
-    const auto cells = split_csv_line(line, line_no, offset);
-    if (cells.size() != 4) {
-      throw std::runtime_error(csv_location(line_no, offset) +
-                               ": expected 4 cells");
-    }
-    const std::size_t w = bare.workload_index(cells[0]);
-    const std::size_t c = bare.counter_index(cells[1]);
-    const std::size_t s = parse_index(cells[2], line_no, offset);
-    auto& target = series[w][c];
-    if (s != target.size()) {
-      throw std::runtime_error(csv_location(line_no, offset) +
-                               ": sample indices must be dense from 0 "
-                               "(expected " +
-                               std::to_string(target.size()) + ", got " +
-                               std::to_string(s) + ")");
-    }
-    target.push_back(parse_double(cells[3], line_no, offset));
-  }
-  for (std::size_t w = 0; w < bare.num_workloads(); ++w) {
-    for (std::size_t c = 0; c < bare.num_counters(); ++c) {
+CounterMatrix attach_series_rows(const CounterMatrix& aggregates,
+                                 ingest::CsvStream& rows,
+                                 const std::string& origin) {
+  Series series(aggregates.num_workloads(),
+                std::vector<std::vector<double>>(aggregates.num_counters()));
+  read_series_rows(rows, origin, aggregates, series, nullptr);
+  for (std::size_t w = 0; w < aggregates.num_workloads(); ++w) {
+    for (std::size_t c = 0; c < aggregates.num_counters(); ++c) {
       if (series[w][c].empty()) {
         throw std::runtime_error(
             "'" + origin + "': no samples for workload '" +
-            bare.workload_names()[w] + "' counter '" +
-            bare.counter_names()[c] + "'");
+            aggregates.workload_names()[w] + "' counter '" +
+            aggregates.counter_names()[c] + "'");
       }
     }
   }
-  return CounterMatrix(bare.suite_name(), bare.workload_names(),
-                       bare.counter_names(), bare.values(),
+  return CounterMatrix(aggregates.suite_name(), aggregates.workload_names(),
+                       aggregates.counter_names(), aggregates.values(),
                        std::move(series));
 }
 
-}  // namespace
-
 CounterMatrix read_aggregates_csv(const std::string& suite_name,
                                   const std::string& path) {
-  // Size probe failures (missing file, permission) fall through to the
-  // slurp path, whose open_for_read reports the canonical error.
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (!ec && size >= kStreamedReadThresholdBytes) {
-    return read_aggregates_csv_streamed(suite_name, path);
-  }
-  return read_aggregates_csv_slurp(suite_name, path);
-}
-
-CounterMatrix read_aggregates_csv_slurp(const std::string& suite_name,
-                                        const std::string& path) {
   auto in = open_for_read(path);
-  return read_aggregates_stream(suite_name, in, path);
-}
-
-CounterMatrix read_aggregates_csv_streamed(const std::string& suite_name,
-                                           const std::string& path,
-                                           const StreamedReadOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open '" + path + "' for reading");
-  }
-  ingest::IngestOptions ingest_options;
-  ingest_options.chunk_bytes = options.chunk_bytes;
-  ingest_options.io_thread = options.io_thread;
-  ingest::CsvStream stream(in, ingest_options);
-
-  if (!stream.next_row()) {
-    throw std::runtime_error("'" + path + "': empty file");
-  }
-  const auto& header = stream.cells();
-  if (header.size() < 2 || header[0] != "workload") {
-    throw std::runtime_error(
-        "'" + path + "': header must be 'workload,<counter>,...'");
-  }
-  std::vector<std::string> counters(header.begin() + 1, header.end());
-
-  std::vector<std::string> workloads;
-  la::Matrix values;
-  std::vector<double> row(counters.size());
-  // Capacities are estimated from the file size and the first data row's
-  // width so a multi-million-row file pays no rehash/regrow copies, and
-  // duplicate detection goes through the flat open-addressed NameIndex
-  // instead of a node-per-row std::set (see ingest/name_index.hpp).
-  std::error_code size_ec;
-  const std::uint64_t file_bytes = std::filesystem::file_size(path, size_ec);
-  ingest::NameIndex seen;
-  bool reserved = false;
-  while (stream.next_row()) {
-    const auto& cells = stream.cells();
-    if (cells.size() != counters.size() + 1) {
-      throw std::runtime_error(
-          csv_location(stream.line_no(), stream.byte_offset()) +
-          ": expected " + std::to_string(counters.size() + 1) +
-          " cells, got " + std::to_string(cells.size()));
-    }
-    if (!reserved) {
-      reserved = true;
-      if (!size_ec && file_bytes > 0) {
-        std::size_t line_bytes = cells.size();  // separators + newline
-        for (const auto& cell : cells) line_bytes += cell.size();
-        const std::size_t estimate =
-            static_cast<std::size_t>(file_bytes) /
-                std::max<std::size_t>(line_bytes, 1) +
-            16;
-        workloads.reserve(estimate);
-        values.reserve(estimate, counters.size());
-        seen = ingest::NameIndex(estimate);
-      }
-    }
-    if (seen.insert(cells[0], workloads.size(), workloads) !=
-        ingest::NameIndex::npos) {
-      throw std::runtime_error(
-          csv_location(stream.line_no(), stream.byte_offset()) +
-          ": duplicate workload '" + std::string(cells[0]) + "'");
-    }
-    workloads.emplace_back(cells[0]);
-    for (std::size_t c = 0; c < counters.size(); ++c) {
-      row[c] = parse_double_fast(cells[c + 1], stream.line_no(),
-                                 stream.byte_offset());
-    }
-    values.append_row(row);
-  }
-  if (workloads.empty()) {
-    throw std::runtime_error("'" + path + "': no data rows");
-  }
-  return CounterMatrix(suite_name, std::move(workloads), std::move(counters),
-                       std::move(values));
+  ingest::CsvStream rows(in);
+  return read_aggregates_rows(suite_name, rows, path);
 }
 
 CounterMatrix read_aggregates_csv_text(const std::string& suite_name,
                                        const std::string& csv_text) {
-  std::istringstream in(csv_text);
-  return read_aggregates_stream(suite_name, in, "<inline csv>");
+  ingest::CsvStream rows(csv_text);
+  return read_aggregates_rows(suite_name, rows, "<inline csv>");
 }
 
 CounterMatrix read_with_series_csv(const std::string& suite_name,
@@ -462,7 +343,8 @@ CounterMatrix read_with_series_csv(const std::string& suite_name,
                                    const std::string& series_path) {
   const CounterMatrix bare = read_aggregates_csv(suite_name, aggregates_path);
   auto in = open_for_read(series_path);
-  return attach_series_stream(bare, in, series_path);
+  ingest::CsvStream rows(in);
+  return attach_series_rows(bare, rows, series_path);
 }
 
 CounterMatrix read_with_series_csv_text(const std::string& suite_name,
@@ -470,25 +352,19 @@ CounterMatrix read_with_series_csv_text(const std::string& suite_name,
                                         const std::string& series_text) {
   const CounterMatrix bare =
       read_aggregates_csv_text(suite_name, aggregates_text);
-  std::istringstream in(series_text);
-  return attach_series_stream(bare, in, "<inline series csv>");
+  ingest::CsvStream rows(series_text);
+  return attach_series_rows(bare, rows, "<inline series csv>");
 }
 
 CounterMatrix append_workloads_csv_text(const CounterMatrix& base,
                                         const std::string& aggregates_text,
                                         const std::string& series_text) {
-  std::istringstream in(aggregates_text);
-  ingest::IngestOptions options;
-  options.chunk_bytes = 1 << 16;  // wire payloads are small; no IO thread
-  options.io_thread = false;
-  ingest::CsvStream stream(in, options);
-
-  if (!stream.next_row()) {
+  ingest::CsvStream rows(aggregates_text);
+  if (!rows.next_row()) {
     throw std::runtime_error("'<delta aggregates csv>': empty file");
   }
-  const auto& header = stream.cells();
-  if (header.size() != base.num_counters() + 1 || header.empty() ||
-      header[0] != "workload") {
+  const auto& header = rows.cells();
+  if (header.size() != base.num_counters() + 1 || header[0] != "workload") {
     throw std::runtime_error(
         "'<delta aggregates csv>': header must name 'workload' and exactly "
         "the base suite's counters");
@@ -498,40 +374,19 @@ CounterMatrix append_workloads_csv_text(const CounterMatrix& base,
   // duplicated columns).
   const ingest::ColumnMap map(header, base.counter_names());
 
+  const std::size_t first_added = base.num_workloads();
   std::vector<std::string> workloads = base.workload_names();
-  std::set<std::string> seen(workloads.begin(), workloads.end());
-  la::Matrix values = base.values();
-  la::Matrix added_values;
-  std::vector<std::string> added;
-  std::vector<std::string_view> rearranged;
-  std::vector<double> row(base.num_counters());
-  while (stream.next_row()) {
-    const auto& cells = stream.cells();
-    if (cells.size() != base.num_counters() + 1) {
-      throw std::runtime_error(
-          csv_location(stream.line_no(), stream.byte_offset()) +
-          ": expected " + std::to_string(base.num_counters() + 1) +
-          " cells, got " + std::to_string(cells.size()));
-    }
-    std::string name(cells[0]);
-    if (!seen.insert(name).second) {
-      throw std::runtime_error(
-          csv_location(stream.line_no(), stream.byte_offset()) +
-          ": duplicate workload '" + name + "'");
-    }
-    map.rearrange(cells, rearranged);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      row[c] =
-          parse_double(rearranged[c], stream.line_no(), stream.byte_offset());
-    }
-    workloads.push_back(name);
-    added.push_back(std::move(name));
-    values.append_row(row);
-    added_values.append_row(row);
+  ingest::NameIndex seen(first_added);
+  for (std::size_t w = 0; w < first_added; ++w) {
+    seen.insert(workloads[w], w, workloads);
   }
-  if (added.empty()) {
+  la::Matrix added_values;
+  append_aggregate_rows(rows, base.num_counters(), &map, seen, workloads,
+                        added_values);
+  if (workloads.size() == first_added) {
     throw std::runtime_error("'<delta aggregates csv>': no data rows");
   }
+  la::Matrix values = base.values().vconcat(added_values);
 
   if (!base.has_series()) {
     if (!series_text.empty()) {
@@ -547,27 +402,25 @@ CounterMatrix append_workloads_csv_text(const CounterMatrix& base,
   // against a bare matrix of only those rows reuses the reader's dense-index
   // and full-coverage checks verbatim (a row naming a pre-existing workload
   // fails its workload lookup).
-  const CounterMatrix delta(base.suite_name(), added, base.counter_names(),
-                            std::move(added_values));
-  std::istringstream series_in(series_text);
+  const CounterMatrix delta(
+      base.suite_name(),
+      std::vector<std::string>(workloads.begin() + first_added,
+                               workloads.end()),
+      base.counter_names(), std::move(added_values));
+  ingest::CsvStream series_rows(series_text);
   const CounterMatrix with_series =
-      attach_series_stream(delta, series_in, "<delta series csv>");
+      attach_series_rows(delta, series_rows, "<delta series csv>");
 
-  std::vector<std::vector<std::vector<double>>> series;
+  Series series;
   series.reserve(workloads.size());
-  for (std::size_t w = 0; w < base.num_workloads(); ++w) {
-    std::vector<std::vector<double>> row_series(base.num_counters());
-    for (std::size_t c = 0; c < base.num_counters(); ++c) {
-      row_series[c] = base.series(w, c);
+  for (const CounterMatrix* part : {&base, &with_series}) {
+    for (std::size_t w = 0; w < part->num_workloads(); ++w) {
+      std::vector<std::vector<double>> row_series(base.num_counters());
+      for (std::size_t c = 0; c < base.num_counters(); ++c) {
+        row_series[c] = part->series(w, c);
+      }
+      series.push_back(std::move(row_series));
     }
-    series.push_back(std::move(row_series));
-  }
-  for (std::size_t w = 0; w < added.size(); ++w) {
-    std::vector<std::vector<double>> row_series(base.num_counters());
-    for (std::size_t c = 0; c < base.num_counters(); ++c) {
-      row_series[c] = with_series.series(w, c);
-    }
-    series.push_back(std::move(row_series));
   }
   return CounterMatrix(base.suite_name(), std::move(workloads),
                        base.counter_names(), std::move(values),
@@ -581,59 +434,25 @@ CounterMatrix append_samples_csv_text(
     throw std::logic_error(
         "append_samples_csv_text: base matrix carries no series");
   }
-  std::vector<std::vector<std::vector<double>>> series(
-      base.num_workloads(),
-      std::vector<std::vector<double>>(base.num_counters()));
+  Series series(base.num_workloads(),
+                std::vector<std::vector<double>>(base.num_counters()));
   for (std::size_t w = 0; w < base.num_workloads(); ++w) {
     for (std::size_t c = 0; c < base.num_counters(); ++c) {
       series[w][c] = base.series(w, c);
     }
   }
 
-  std::istringstream in(series_text);
-  ingest::IngestOptions options;
-  options.chunk_bytes = 1 << 16;
-  options.io_thread = false;
-  ingest::CsvStream stream(in, options);
-  const bool header_ok = stream.next_row() && stream.cells().size() == 4 &&
-                         stream.cells()[0] == "workload" &&
-                         stream.cells()[1] == "counter" &&
-                         stream.cells()[2] == "sample" &&
-                         stream.cells()[3] == "value";
-  if (!header_ok) {
-    throw std::runtime_error(
-        "'<delta series csv>': header must be 'workload,counter,sample,value'");
-  }
-  std::size_t appended = 0;
-  std::set<std::size_t> touched;
-  while (stream.next_row()) {
-    const auto& cells = stream.cells();
-    if (cells.size() != 4) {
-      throw std::runtime_error(
-          csv_location(stream.line_no(), stream.byte_offset()) +
-          ": expected 4 cells");
-    }
-    const std::size_t w = base.workload_index(std::string(cells[0]));
-    touched.insert(w);
-    const std::size_t c = base.counter_index(std::string(cells[1]));
-    const std::size_t s =
-        parse_index(cells[2], stream.line_no(), stream.byte_offset());
-    auto& target = series[w][c];
-    if (s != target.size()) {
-      throw std::runtime_error(
-          csv_location(stream.line_no(), stream.byte_offset()) +
-          ": sample indices must be dense from 0 (expected " +
-          std::to_string(target.size()) + ", got " + std::to_string(s) + ")");
-    }
-    target.push_back(
-        parse_double(cells[3], stream.line_no(), stream.byte_offset()));
-    ++appended;
-  }
-  if (appended == 0) {
+  ingest::CsvStream rows(series_text);
+  std::vector<bool> touched(base.num_workloads(), false);
+  if (read_series_rows(rows, "<delta series csv>", base, series, &touched) ==
+      0) {
     throw std::runtime_error("'<delta series csv>': no data rows");
   }
   if (touched_workloads != nullptr) {
-    touched_workloads->assign(touched.begin(), touched.end());
+    touched_workloads->clear();
+    for (std::size_t w = 0; w < touched.size(); ++w) {
+      if (touched[w]) touched_workloads->push_back(w);
+    }
   }
   return CounterMatrix(base.suite_name(), base.workload_names(),
                        base.counter_names(), base.values(), std::move(series));
@@ -643,6 +462,8 @@ std::vector<PerfStatRecord> parse_perf_stat(const std::string& text) {
   std::vector<PerfStatRecord> records;
   std::istringstream in(text);
   std::string line;
+  std::string escape;
+  std::vector<std::string_view> cells;
   std::size_t line_no = 0;
   std::uint64_t offset = 0;
   std::uint64_t consumed = 0;
@@ -651,13 +472,13 @@ std::vector<PerfStatRecord> parse_perf_stat(const std::string& text) {
     offset = consumed;
     consumed += line.size() + 1;
     if (line.empty() || line[0] == '#') continue;
-    const auto cells = split_csv_line(line, line_no, offset);
+    ingest::scan_cells(line, line_no, offset, escape, cells);
     if (cells.size() < 3) {
       throw std::runtime_error("perf-stat line " + std::to_string(line_no) +
                                ": expected at least 3 fields");
     }
     PerfStatRecord record;
-    record.event = cells[2];
+    record.event = std::string(cells[2]);
     if (record.event.empty()) {
       throw std::runtime_error("perf-stat line " + std::to_string(line_no) +
                                ": empty event name");
@@ -727,20 +548,22 @@ PerfIntervalData parse_perf_stat_intervals(const std::string& text) {
   std::uint64_t consumed = 0;
   std::size_t cursor = 0;  // position within the current interval block
   double current_time = -1.0;
+  std::string escape;
+  std::vector<std::string_view> cells;
 
   while (std::getline(in, line)) {
     ++line_no;
     offset = consumed;
     consumed += line.size() + 1;
     if (line.empty() || line[0] == '#') continue;
-    const auto cells = split_csv_line(line, line_no, offset);
+    ingest::scan_cells(line, line_no, offset, escape, cells);
     if (cells.size() < 4) {
       throw std::runtime_error("perf-interval line " +
                                std::to_string(line_no) +
                                ": expected at least 4 fields");
     }
     const double timestamp = parse_double(cells[0], line_no, offset);
-    const std::string& event = cells[3];
+    const std::string event(cells[3]);
     if (event.empty()) {
       throw std::runtime_error("perf-interval line " +
                                std::to_string(line_no) + ": empty event");

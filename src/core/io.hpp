@@ -11,22 +11,24 @@
 //     one row per (workload, counter, sample index). Sample indices must be
 //     dense from 0 within each (workload, counter) pair.
 //
-// Both readers validate shape and report the offending line — as
+// Every reader validates shape and reports the offending line — as
 // "CSV line N (byte M)", the byte offset making errors greppable with
 // dd/tail in GB-scale files — on error.
 //
-// Large aggregate files (>= kStreamedReadThresholdBytes) are read through
-// the streaming pipeline in src/ingest/ (chunked IO overlapped with an
-// in-place cell scanner); the resulting matrices and error messages are
-// byte-identical to the historical slurp path, which remains available as
-// read_aggregates_csv_slurp for A/B benchmarking.
+// One row reader serves every format and source: ingest::CsvStream
+// (src/ingest/). In-memory text is parsed in place as one chunk; a file is
+// read in 1 MiB chunks, with an IO thread overlapping disk reads and
+// parsing only when the file is longer than one chunk.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 #include "core/counter_matrix.hpp"
+
+namespace perspector::ingest {
+class CsvStream;
+}  // namespace perspector::ingest
 
 namespace perspector::core {
 
@@ -47,36 +49,8 @@ void write_series_csv(const CounterMatrix& data, const std::string& path);
 /// skipped, CRLF line endings are accepted everywhere, and NaN/Inf cells
 /// are rejected with the offending line number (the scores are undefined
 /// over non-finite counters, so they must fail loudly at the boundary).
-///
-/// Files of at least kStreamedReadThresholdBytes take the streamed path
-/// below automatically; smaller files slurp (identical results).
 CounterMatrix read_aggregates_csv(const std::string& suite_name,
                                   const std::string& path);
-
-/// Byte threshold above which read_aggregates_csv streams instead of
-/// slurping. 1 MiB: below it the whole file fits the first chunk anyway.
-inline constexpr std::uint64_t kStreamedReadThresholdBytes = 1ull << 20;
-
-/// Tuning for read_aggregates_csv_streamed (see src/ingest/csv_stream.hpp
-/// for the pipeline). The defaults are what read_aggregates_csv uses.
-struct StreamedReadOptions {
-  std::size_t chunk_bytes = 1 << 20;
-  bool io_thread = true;  // overlap disk IO with parsing
-};
-
-/// Streamed aggregate reader: identical validation, matrices, and error
-/// messages to the slurp path, but the file is read in fixed-size chunks
-/// (optionally on a dedicated IO thread) and cells are scanned in place —
-/// no per-cell string allocation. Byte-identical output at every chunk
-/// size, including chunks that split a CRLF or a quoted cell.
-CounterMatrix read_aggregates_csv_streamed(
-    const std::string& suite_name, const std::string& path,
-    const StreamedReadOptions& options = {});
-
-/// The historical getline-based reader, kept callable at any file size as
-/// the baseline the ingest throughput bench compares against.
-CounterMatrix read_aggregates_csv_slurp(const std::string& suite_name,
-                                        const std::string& path);
 
 /// Reads an aggregate CSV and a matching series CSV, attaching the series.
 /// The series file must cover exactly the workloads and counters of the
@@ -93,6 +67,17 @@ CounterMatrix read_aggregates_csv_text(const std::string& suite_name,
 CounterMatrix read_with_series_csv_text(const std::string& suite_name,
                                         const std::string& aggregates_text,
                                         const std::string& series_text);
+
+/// The bodies the file and text readers above share, over any row source.
+/// `origin` names the input in errors (the path, or "<inline csv>").
+CounterMatrix read_aggregates_rows(const std::string& suite_name,
+                                   ingest::CsvStream& rows,
+                                   const std::string& origin);
+/// Reads a series CSV from `rows` and returns `aggregates` with it
+/// attached (the checks of read_with_series_csv).
+CounterMatrix attach_series_rows(const CounterMatrix& aggregates,
+                                 ingest::CsvStream& rows,
+                                 const std::string& origin);
 
 /// In-memory CSV writers, inverses of the text readers: every value is
 /// rendered with %.17g so parsing the text recovers the exact doubles.
@@ -143,7 +128,8 @@ struct PerfStatRecord {
 };
 
 /// Parses the full text of one workload's `perf stat -x,` run. Comment
-/// lines (leading '#') and blank lines are skipped; malformed lines throw
+/// lines (leading '#') and blank lines are skipped before cells are split
+/// (with ingest::scan_cells, as every CSV row is); malformed lines throw
 /// std::runtime_error with the line number.
 std::vector<PerfStatRecord> parse_perf_stat(const std::string& text);
 

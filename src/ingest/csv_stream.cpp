@@ -31,19 +31,103 @@ std::string csv_location(std::size_t line_no, std::uint64_t byte_offset) {
          std::to_string(byte_offset) + ")";
 }
 
+// ---- scan_cells ------------------------------------------------------------
+
+void scan_cells(std::string_view line, std::size_t line_no,
+                std::uint64_t byte_offset, std::string& escape,
+                std::vector<std::string_view>& cells) {
+  cells.clear();
+
+  // Fast path: no quotes and no interior '\r' — every cell is a view
+  // straight into the line (one trailing '\r' is trimmed, which is what
+  // dropping unquoted CRs does to a CRLF line).
+  std::string_view body = line;
+  if (!body.empty() && body.back() == '\r') body.remove_suffix(1);
+  if (body.find('"') == std::string_view::npos &&
+      body.find('\r') == std::string_view::npos) {
+    std::size_t start = 0;
+    for (;;) {
+      const std::size_t comma = body.find(',', start);
+      if (comma == std::string_view::npos) {
+        cells.push_back(body.substr(start));
+        return;
+      }
+      cells.push_back(body.substr(start, comma - start));
+      start = comma + 1;
+    }
+  }
+
+  // Slow path: unescape into `escape`. It is reserved up front so it
+  // never reallocates mid-scan (output length <= input length), which
+  // keeps the views already pushed valid.
+  escape.clear();
+  escape.reserve(line.size());
+  const auto close_cell = [&](std::size_t cell_start) {
+    cells.emplace_back(escape.data() + cell_start, escape.size() - cell_start);
+  };
+  std::size_t cell_start = 0;
+  bool quoted = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char ch = line[i];
+    if (quoted) {
+      if (ch == '"') {
+        if (i + 1 < line.size() && line[i + 1] == '"') {
+          escape += '"';
+          ++i;
+        } else {
+          quoted = false;
+        }
+      } else {
+        escape += ch;
+      }
+    } else if (ch == '"') {
+      quoted = true;
+    } else if (ch == ',') {
+      close_cell(cell_start);
+      cell_start = escape.size();
+    } else if (ch != '\r') {
+      escape += ch;
+    }
+  }
+  if (quoted) {
+    throw std::runtime_error(csv_location(line_no, byte_offset) +
+                             ": unterminated quote");
+  }
+  close_cell(cell_start);
+}
+
 // ---- ChunkSource -----------------------------------------------------------
 
-ChunkSource::ChunkSource(std::istream& in, const IngestOptions& options)
-    : in_(in),
-      chunk_bytes_(std::max<std::size_t>(options.chunk_bytes, 1)),
-      threaded_(options.io_thread) {
-  const std::size_t ring = threaded_ ? kRingBuffers : 1;
-  buffers_.reserve(ring);
-  for (std::size_t i = 0; i < ring; ++i) {
-    buffers_.push_back(std::make_unique<mem::Scratch<char>>(chunk_bytes_));
-    if (threaded_) free_.push_back(i);
+ChunkSource::ChunkSource(std::string_view text)
+    : size_hint_(text.size()), first_(text) {}
+
+ChunkSource::ChunkSource(std::istream& in, std::size_t chunk_bytes)
+    : in_(&in), chunk_bytes_(std::max<std::size_t>(chunk_bytes, 1)) {
+  const std::istream::pos_type start = in.tellg();
+  if (start != std::istream::pos_type(-1)) {
+    in.seekg(0, std::ios::end);
+    const std::istream::pos_type end = in.tellg();
+    if (end != std::istream::pos_type(-1) && end >= start) {
+      size_hint_ = static_cast<std::uint64_t>(end - start);
+    }
+    in.seekg(start);
   }
-  if (threaded_) io_thread_ = std::thread([this] { io_loop(); });
+
+  // The first chunk is read inline; only an input that continues past it
+  // starts the IO thread, so inputs of one chunk never spawn one.
+  buffers_.push_back(std::make_unique<mem::Scratch<char>>(chunk_bytes_));
+  in.read(buffers_[0]->data(), static_cast<std::streamsize>(chunk_bytes_));
+  const std::size_t n = static_cast<std::size_t>(in.gcount());
+  first_ = {buffers_[0]->data(), n};
+  threaded_ =
+      n == chunk_bytes_ && in.peek() != std::istream::traits_type::eof();
+  if (!threaded_) return;
+  lent_ = 0;
+  for (std::size_t i = 1; i < kRingBuffers; ++i) {
+    buffers_.push_back(std::make_unique<mem::Scratch<char>>(chunk_bytes_));
+    free_.push_back(i);
+  }
+  io_thread_ = std::thread([this] { io_loop(); });
 }
 
 ChunkSource::~ChunkSource() {
@@ -67,9 +151,9 @@ void ChunkSource::io_loop() {
       index = free_.front();
       free_.pop_front();
     }
-    in_.read(buffers_[index]->data(),
-             static_cast<std::streamsize>(chunk_bytes_));
-    const std::size_t n = static_cast<std::size_t>(in_.gcount());
+    in_->read(buffers_[index]->data(),
+              static_cast<std::streamsize>(chunk_bytes_));
+    const std::size_t n = static_cast<std::size_t>(in_->gcount());
     const bool at_end = n < chunk_bytes_;
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -86,14 +170,21 @@ void ChunkSource::io_loop() {
 }
 
 std::string_view ChunkSource::next() {
-  if (!threaded_) {
-    in_.read(buffers_[0]->data(), static_cast<std::streamsize>(chunk_bytes_));
-    const std::size_t n = static_cast<std::size_t>(in_.gcount());
-    if (n == 0) return {};
-    chunks_counter().increment();
-    bytes_counter().add(n);
-    return {buffers_[0]->data(), n};
+  std::string_view chunk;
+  if (!first_.empty()) {
+    chunk = first_;
+    first_ = {};
+  } else if (threaded_) {
+    chunk = next_threaded();
   }
+  if (!chunk.empty()) {
+    chunks_counter().increment();
+    bytes_counter().add(chunk.size());
+  }
+  return chunk;
+}
+
+std::string_view ChunkSource::next_threaded() {
   std::unique_lock<std::mutex> lock(mutex_);
   if (lent_ != kNone) {
     free_.push_back(lent_);
@@ -105,18 +196,18 @@ std::string_view ChunkSource::next() {
   const auto [index, length] = filled_.front();
   filled_.pop_front();
   lent_ = index;
-  lock.unlock();
-  chunks_counter().increment();
-  bytes_counter().add(length);
   return {buffers_[index]->data(), length};
 }
 
 // ---- CsvStream -------------------------------------------------------------
 
-CsvStream::CsvStream(std::istream& in, const IngestOptions& options)
-    : source_(in, options) {
+CsvStream::CsvStream(std::string_view text) : source_(text) {
   cells_.reserve(16);
-  spans_.reserve(16);
+}
+
+CsvStream::CsvStream(std::istream& in, std::size_t chunk_bytes)
+    : source_(in, chunk_bytes) {
+  cells_.reserve(16);
 }
 
 // Rows are tallied locally and flushed in one bulk add — a relaxed atomic
@@ -174,77 +265,13 @@ bool CsvStream::next_row() {
       line.remove_prefix(3);
     }
     // The header line is surfaced even when empty (the caller owns the
-    // "bad header" diagnosis, exactly like the getline-based readers);
-    // later blank lines are skipped.
+    // "bad header" diagnosis); later blank lines are skipped.
     if (line.empty() && line_no_ > 1) continue;
-    scan_cells(line);
+    scan_cells(line, line_no_, line_offset_, escape_, cells_);
     ++rows_seen_;
     return true;
   }
   return false;
-}
-
-void CsvStream::scan_cells(std::string_view line) {
-  cells_.clear();
-
-  // Fast path: no quotes and no interior '\r' — every cell is a view
-  // straight into the line (one trailing '\r' is trimmed, which is what
-  // dropping unquoted CRs does to a CRLF line).
-  std::string_view body = line;
-  if (!body.empty() && body.back() == '\r') body.remove_suffix(1);
-  if (body.find('"') == std::string_view::npos &&
-      body.find('\r') == std::string_view::npos) {
-    std::size_t start = 0;
-    for (;;) {
-      const std::size_t comma = body.find(',', start);
-      if (comma == std::string_view::npos) {
-        cells_.push_back(body.substr(start));
-        return;
-      }
-      cells_.push_back(body.substr(start, comma - start));
-      start = comma + 1;
-    }
-  }
-
-  // Slow path: materialize into the reused escape buffer, replicating
-  // split_csv_line (core/io.cpp) byte for byte. The buffer is reserved up
-  // front so it never reallocates mid-scan (output length <= input
-  // length), keeping the recorded spans stable.
-  escape_.clear();
-  escape_.reserve(line.size());
-  spans_.clear();
-  std::size_t cell_start = 0;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char ch = line[i];
-    if (quoted) {
-      if (ch == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          escape_ += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        escape_ += ch;
-      }
-    } else if (ch == '"') {
-      quoted = true;
-    } else if (ch == ',') {
-      spans_.emplace_back(cell_start, escape_.size() - cell_start);
-      cell_start = escape_.size();
-    } else if (ch != '\r') {
-      escape_ += ch;
-    }
-  }
-  if (quoted) {
-    throw std::runtime_error(csv_location(line_no_, line_offset_) +
-                             ": unterminated quote");
-  }
-  spans_.emplace_back(cell_start, escape_.size() - cell_start);
-  for (const auto& [start, length] : spans_) {
-    cells_.push_back(std::string_view(escape_).substr(start, length));
-  }
 }
 
 // ---- ColumnMap -------------------------------------------------------------

@@ -1,23 +1,21 @@
-// Streaming CSV ingestion (DESIGN.md section 14).
+// CSV ingestion (DESIGN.md section 14): the one CSV row reader behind
+// every aggregate and series payload, from files and from in-memory text.
 //
-// The core CSV readers historically slurped the whole file through
-// std::getline, which serializes disk IO behind parsing and allocates a
-// std::string per cell. For GB-scale counter files that is the ingestion
-// bottleneck. This module supplies the fast-cpp-csv-parser-style pipeline:
-//
-//   * ChunkSource — reads fixed-size chunks into a ring of reusable
-//     buffers (mem::Scratch), optionally on a dedicated IO thread so disk
-//     reads overlap parsing. Chunks are handed to the consumer strictly in
-//     file order, so the pipeline is deterministic regardless of thread
-//     interleaving.
+//   * ChunkSource — hands the input to the parser in order. In-memory
+//     text is one chunk (no copy, no buffer, no thread). A stream is read
+//     in fixed-size chunks (1 MiB) into reusable mem::Scratch buffers; the
+//     first chunk is read inline, and only an input longer than one chunk
+//     starts a dedicated IO thread that reads the rest into a small ring
+//     so disk reads overlap parsing. Chunks reach the consumer strictly in
+//     input order, so the result never depends on thread interleaving.
 //   * CsvStream — frames lines across chunk boundaries (a carry buffer
 //     holds the partial tail of a chunk), strips a leading UTF-8 BOM, and
-//     scans each line's cells IN PLACE: unquoted lines become
-//     string_views straight into the chunk buffer, and only lines with
-//     quotes or interior CRs are materialized into one reused escape
-//     buffer. Cell semantics are byte-identical to core/io.cpp's
-//     split_csv_line (quoted commas, doubled quotes, '\r' dropped outside
-//     quotes), and errors carry the same "CSV line N (byte M)" location.
+//     splits each line with scan_cells.
+//   * scan_cells — the one CSV cell splitter (quoted commas, doubled
+//     quotes, '\r' dropped outside quotes). Unquoted lines become
+//     string_views straight into the line; only lines with quotes or
+//     interior CRs are materialized into one reused escape buffer. Errors
+//     carry the "CSV line N (byte M)" location.
 //   * ColumnMap — header-driven column rearrangement: permutes a source
 //     row's value cells into a caller-chosen counter order, so payloads
 //     whose columns arrive shuffled (e.g. add_workload deltas) can feed a
@@ -48,28 +46,32 @@
 
 namespace perspector::ingest {
 
-struct IngestOptions {
-  /// Bytes per IO chunk. Tiny values are legal (tests shear lines across
-  /// chunk boundaries with 64-byte chunks); 1 MiB is the throughput
-  /// sweet spot for buffered files.
-  std::size_t chunk_bytes = 1 << 20;
-  /// Read chunks on a dedicated IO thread, overlapped with parsing.
-  /// When false the source reads synchronously into a single buffer
-  /// (same bytes, no overlap) — useful as the 1-thread bench mode.
-  bool io_thread = true;
-};
+/// Bytes per chunk of a stream source.
+inline constexpr std::size_t kChunkBytes = 1 << 20;
 
-/// "CSV line N (byte M)" — the shared location prefix of every CSV error,
-/// used by this module and by core/io.cpp so the streamed and slurped
-/// paths throw byte-identical messages.
+/// "CSV line N (byte M)" — the shared location prefix of every CSV error.
 std::string csv_location(std::size_t line_no, std::uint64_t byte_offset);
 
-/// Ordered chunk reader over an std::istream. next() returns the next
-/// chunk of the stream (valid until the following next() call), or an
-/// empty view at end of input.
+/// Splits one CSV line (without its '\n') into `cells`. The views point
+/// into `line`, or into `escape` when the line holds quotes or interior
+/// CRs; they stay valid while both are unchanged. Throws
+/// std::runtime_error ("CSV line N (byte M): unterminated quote") on a
+/// quote left open at end of line.
+void scan_cells(std::string_view line, std::size_t line_no,
+                std::uint64_t byte_offset, std::string& escape,
+                std::vector<std::string_view>& cells);
+
+/// Ordered chunk reader. next() returns the next chunk of the input
+/// (valid until the following next() call), or an empty view at end of
+/// input.
 class ChunkSource {
  public:
-  ChunkSource(std::istream& in, const IngestOptions& options);
+  /// In-memory text: the whole text is the one chunk. `text` must outlive
+  /// the source.
+  explicit ChunkSource(std::string_view text);
+  /// Reads `in` in chunks of `chunk_bytes` (the default everywhere but in
+  /// the chunk-shearing tests).
+  ChunkSource(std::istream& in, std::size_t chunk_bytes);
   ~ChunkSource();
 
   ChunkSource(const ChunkSource&) = delete;
@@ -77,15 +79,22 @@ class ChunkSource {
 
   std::string_view next();
 
+  /// Total input bytes when known up front (text, or a seekable stream),
+  /// else 0. A capacity hint only.
+  std::uint64_t size_hint() const noexcept { return size_hint_; }
+
  private:
   static constexpr std::size_t kRingBuffers = 4;
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
+  std::string_view next_threaded();
   void io_loop();
 
-  std::istream& in_;
-  std::size_t chunk_bytes_;
-  bool threaded_;
+  std::istream* in_ = nullptr;
+  std::size_t chunk_bytes_ = 0;
+  std::uint64_t size_hint_ = 0;
+  std::string_view first_;  // the chunk the first next() returns
+  bool threaded_ = false;
   std::vector<std::unique_ptr<mem::Scratch<char>>> buffers_;
 
   // Threaded mode: the IO thread pops buffer indices from free_, fills
@@ -101,10 +110,13 @@ class ChunkSource {
   std::thread io_thread_;
 };
 
-/// Pull-style streaming CSV row reader (see file comment for semantics).
+/// Pull-style CSV row reader (see file comment for semantics).
 class CsvStream {
  public:
-  explicit CsvStream(std::istream& in, const IngestOptions& options = {});
+  /// Rows of in-memory text; `text` must outlive the stream.
+  explicit CsvStream(std::string_view text);
+  /// Rows of a stream, read in `chunk_bytes` chunks.
+  explicit CsvStream(std::istream& in, std::size_t chunk_bytes = kChunkBytes);
   ~CsvStream();
 
   CsvStream(const CsvStream&) = delete;
@@ -123,17 +135,19 @@ class CsvStream {
   std::size_t line_no() const noexcept { return line_no_; }
   /// Byte offset of the current row's first byte in the input.
   std::uint64_t byte_offset() const noexcept { return line_offset_; }
+  /// csv_location() of the current row.
+  std::string location() const { return csv_location(line_no_, line_offset_); }
+  /// See ChunkSource::size_hint.
+  std::uint64_t size_hint() const noexcept { return source_.size_hint(); }
 
  private:
   bool next_line(std::string_view& line);
-  void scan_cells(std::string_view line);
 
   ChunkSource source_;
   std::string_view chunk_;  // unconsumed remainder of the current chunk
   std::string carry_;       // partial line accumulated across chunks
   std::string line_buf_;    // stable storage for a carry-assembled line
   std::string escape_;      // materialized cells of quoted/CR rows
-  std::vector<std::pair<std::size_t, std::size_t>> spans_;
   std::vector<std::string_view> cells_;
   std::size_t line_no_ = 0;
   std::uint64_t offset_ = 0;       // bytes consumed before the next line

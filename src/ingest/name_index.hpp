@@ -1,4 +1,4 @@
-// Open-addressed workload-name index for the streamed CSV readers.
+// Open-addressed workload-name index for the CSV readers.
 //
 // Duplicate detection over millions of rows must not pay a node
 // allocation per insert (std::set / std::unordered_map both do). This
@@ -28,6 +28,12 @@ class NameIndex {
     while (capacity < expected * 2 && capacity < (1u << 28)) capacity <<= 1;
     slots_.assign(capacity, {0, 0});
     mask_ = capacity - 1;
+  }
+
+  /// Grows the table ahead of `expected` names, with the same cap as the
+  /// constructor's hint.
+  void reserve(std::size_t expected) {
+    while (slots_.size() < expected * 2 && slots_.size() < (1u << 28)) grow();
   }
 
   /// Inserts `name` (stored as `names[row]` by the caller) and returns

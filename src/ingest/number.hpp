@@ -1,4 +1,4 @@
-// Fast decimal-to-double parsing for the streamed CSV pipeline.
+// Fast decimal-to-double parsing for the CSV readers.
 //
 // parse_number() implements the classic exact fast path (Clinger 1990):
 // when the significand fits a double exactly (< 2^53) and the decimal
@@ -8,7 +8,7 @@
 // else (long significands, huge exponents, nan/inf, malformed cells)
 // returns false so the caller can fall back to std::from_chars, which
 // keeps the accepted/rejected input sets and every parsed bit exactly
-// equal to the slurp reader's. Counter CSVs are overwhelmingly short
+// from_chars's. Counter CSVs are overwhelmingly short
 // decimals, so the fast path covers nearly every cell.
 #pragma once
 

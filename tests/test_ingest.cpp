@@ -1,18 +1,20 @@
-// Streaming CSV ingestion tests (src/ingest/ + the streamed reader in
-// core/io.cpp).
+// CSV ingestion tests (src/ingest/ and the readers in core/io.cpp).
 //
-// The load-bearing guarantee is byte-identity: the streamed reader must
-// produce exactly the matrix — and exactly the error messages — of the
-// historical slurp reader, at every chunk size (including 1-byte chunks
-// that split every CRLF and quoted cell across chunk boundaries) and
-// with the IO thread on or off.
+// The load-bearing guarantee is byte-identity with the reference readers
+// in csv_oracle.hpp: the product readers must produce exactly the
+// oracle's matrices and exactly its error messages, from in-memory text
+// (one chunk) and from a file at every chunk size (including 1-byte
+// chunks that split every CRLF and quoted cell across chunk boundaries,
+// with the IO thread reading everything after the first chunk).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,6 +23,7 @@
 
 #include "core/counter_matrix.hpp"
 #include "core/io.hpp"
+#include "csv_oracle.hpp"
 #include "ingest/csv_stream.hpp"
 #include "ingest/name_index.hpp"
 #include "ingest/number.hpp"
@@ -30,14 +33,12 @@ namespace {
 
 using core::CounterMatrix;
 
-// The chunk sizes the ISSUE acceptance list names, plus 1 byte (every
-// line, CRLF, and quoted cell is sheared across a chunk boundary).
-constexpr std::size_t kChunkSizes[] = {1, 64, 4096, 1u << 20};
+// 1 byte shears every line, CRLF and quoted cell across a chunk boundary,
+// 3 bytes also splits lines mid-cell with bytes on both sides of the cut;
+// 1 MiB is the production chunk.
+constexpr std::size_t kChunkSizes[] = {1, 3, 64, 4096, ingest::kChunkBytes};
 
-std::vector<std::vector<std::string>> read_all_rows(
-    const std::string& text, const ingest::IngestOptions& options) {
-  std::istringstream in(text);
-  ingest::CsvStream stream(in, options);
+std::vector<std::vector<std::string>> read_all_rows(ingest::CsvStream& stream) {
   std::vector<std::vector<std::string>> rows;
   while (stream.next_row()) {
     rows.emplace_back(stream.cells().begin(), stream.cells().end());
@@ -45,62 +46,73 @@ std::vector<std::vector<std::string>> read_all_rows(
   return rows;
 }
 
+std::vector<std::vector<std::string>> text_rows(const std::string& text) {
+  ingest::CsvStream stream(text);
+  return read_all_rows(stream);
+}
+
+std::vector<std::vector<std::string>> chunked_rows(const std::string& text,
+                                                   std::size_t chunk) {
+  std::istringstream in(text);
+  ingest::CsvStream stream(in, chunk);
+  return read_all_rows(stream);
+}
+
 TEST(CsvStream, SplitsCellsLikeTheSlurpReaderAtEveryChunkSize) {
   // Quoted commas, doubled quotes, CRLF endings, a blank interior line,
-  // and a final line with no trailing newline.
+  // an interior CR, and a final line with no trailing newline.
   const std::string text =
       "workload,\"c,0\",c1\r\n"
       "\"w \"\"zero\"\"\",1.5,2\n"
       "\n"
+      "cr\rin,side,\"q\"\r\n"
       "plain,3,4";
   const std::vector<std::vector<std::string>> expected = {
       {"workload", "c,0", "c1"},
       {"w \"zero\"", "1.5", "2"},
+      {"crin", "side", "q"},
       {"plain", "3", "4"},
   };
+  ASSERT_EQ(oracle::split_rows(text), expected);
+  EXPECT_EQ(text_rows(text), expected);
   for (std::size_t chunk : kChunkSizes) {
-    for (bool io_thread : {false, true}) {
-      ingest::IngestOptions options;
-      options.chunk_bytes = chunk;
-      options.io_thread = io_thread;
-      EXPECT_EQ(read_all_rows(text, options), expected)
-          << "chunk=" << chunk << " io_thread=" << io_thread;
-    }
+    EXPECT_EQ(chunked_rows(text, chunk), expected) << "chunk=" << chunk;
   }
 }
 
 TEST(CsvStream, ReportsLineNumbersAndByteOffsets) {
   //           offset 0            12     19      26
   const std::string text = "h1,h2\r\nw0,1\nskip,2\nlast,3\n";
-  ingest::IngestOptions options;
-  options.chunk_bytes = 1;  // worst case: every offset crosses a chunk
-  options.io_thread = false;
-  std::istringstream in(text);
-  ingest::CsvStream stream(in, options);
-  std::vector<std::pair<std::size_t, std::uint64_t>> seen;
-  while (stream.next_row()) {
-    seen.emplace_back(stream.line_no(), stream.byte_offset());
-  }
   const std::vector<std::pair<std::size_t, std::uint64_t>> expected = {
       {1, 0}, {2, 7}, {3, 12}, {4, 19}};
-  EXPECT_EQ(seen, expected);
+  const auto locations = [](ingest::CsvStream& stream) {
+    std::vector<std::pair<std::size_t, std::uint64_t>> seen;
+    while (stream.next_row()) {
+      seen.emplace_back(stream.line_no(), stream.byte_offset());
+    }
+    return seen;
+  };
+  ingest::CsvStream text_stream(text);
+  EXPECT_EQ(locations(text_stream), expected);
+  std::istringstream in(text);
+  ingest::CsvStream chunked(in, 1);  // every offset crosses a chunk
+  EXPECT_EQ(locations(chunked), expected);
 }
 
 TEST(CsvStream, StripsBomOnlyOnLineOne) {
-  const std::string text = "\xEF\xBB\xBFworkload,c0\nw0,1\n";
+  const std::string text = "\xEF\xBB\xBFworkload,c0\nw0,1\n\xEF\xBB\xBFw1,2\n";
+  EXPECT_EQ(text_rows(text)[0][0], "workload");
   for (std::size_t chunk : {std::size_t{1}, std::size_t{2}, std::size_t{64}}) {
-    ingest::IngestOptions options;
-    options.chunk_bytes = chunk;
-    options.io_thread = false;
-    const auto rows = read_all_rows(text, options);
-    ASSERT_EQ(rows.size(), 2u) << "chunk=" << chunk;
+    const auto rows = chunked_rows(text, chunk);
+    ASSERT_EQ(rows.size(), 3u) << "chunk=" << chunk;
     EXPECT_EQ(rows[0][0], "workload") << "chunk=" << chunk;
+    EXPECT_EQ(rows[2][0], "\xEF\xBB\xBFw1") << "chunk=" << chunk;
   }
 }
 
 TEST(CsvStream, UnterminatedQuoteThrowsWithLocation) {
-  std::istringstream in("workload,c0\nw0,\"broken\n");
-  ingest::CsvStream stream(in, {});
+  const std::string text = "workload,c0\nw0,\"broken\n";
+  ingest::CsvStream stream(text);
   ASSERT_TRUE(stream.next_row());
   try {
     stream.next_row();
@@ -112,6 +124,68 @@ TEST(CsvStream, UnterminatedQuoteThrowsWithLocation) {
 
 TEST(CsvStream, CsvLocationFormat) {
   EXPECT_EQ(ingest::csv_location(7, 1234), "CSV line 7 (byte 1234)");
+}
+
+TEST(CsvStream, ScanCellsMatchesTheSlurpSplitter) {
+  const char* lines[] = {
+      "",         "a",          "a,b,,c,",      ",",          "a\r",
+      "a,\"b\"\r", "\"x,y\",z", "\"q\"\"q\"",   "a\rb,c",     "\"\"",
+      "\"a\"b",   "a\"b\"c",    "\"\r\",\"\r\"\r",
+  };
+  std::string escape;
+  std::vector<std::string_view> cells;
+  for (const char* line : lines) {
+    ingest::scan_cells(line, 3, 9, escape, cells);
+    EXPECT_EQ(std::vector<std::string>(cells.begin(), cells.end()),
+              oracle::split_csv_line(line, 3, 9))
+        << line;
+  }
+  EXPECT_THROW(ingest::scan_cells("a,\"b", 3, 9, escape, cells),
+               std::runtime_error);
+}
+
+/// Live threads of this process (Linux /proc; nullopt elsewhere).
+std::optional<std::size_t> live_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return std::nullopt;
+  std::size_t n = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) ++n;
+  return n;
+}
+
+TEST(CsvStream, StartsTheIoThreadOnlyPastOneChunk) {
+  const auto before = live_threads();
+  if (!before) GTEST_SKIP() << "no /proc/self/task to count threads";
+  const std::string small = "workload,c0\nw0,1\n";  // 17 bytes
+  std::string large = "workload,c0\n";
+  for (int w = 0; w < 100; ++w) {
+    large += 'w';
+    large += std::to_string(w);
+    large += ",1\n";
+  }
+  {
+    ingest::CsvStream text(large);
+    ASSERT_TRUE(text.next_row());
+    EXPECT_EQ(live_threads(), before) << "text source";
+  }
+  for (std::size_t chunk : {std::size_t{17}, std::size_t{64}}) {
+    std::istringstream in(small);
+    ingest::CsvStream stream(in, chunk);
+    ASSERT_TRUE(stream.next_row());
+    EXPECT_EQ(live_threads(), before) << "one chunk of " << chunk;
+  }
+  {
+    // A 64-byte ring of 4 buffers cannot hold this input, so the IO
+    // thread is still blocked on a free buffer when it is counted.
+    std::istringstream in(large);
+    ingest::CsvStream stream(in, 64);
+    ASSERT_TRUE(stream.next_row());
+    EXPECT_EQ(live_threads(), *before + 1) << "many chunks";
+    auto rows = read_all_rows(stream);  // ... and resumes as buffers free
+    rows.insert(rows.begin(), {"workload", "c0"});
+    EXPECT_EQ(rows, oracle::split_rows(large));
+  }
 }
 
 TEST(ColumnMap, RearrangesShuffledColumns) {
@@ -136,12 +210,101 @@ TEST(ColumnMap, RejectsMissingDuplicateAndRaggedInput) {
   EXPECT_THROW(map.rearrange({"w0", "1"}, out), std::invalid_argument);
 }
 
-// ---- streamed file reader vs slurp reader ----------------------------------
+// ---- core readers vs the oracle -------------------------------------------
+
+/// A read's matrix, or the text of what it threw.
+struct Outcome {
+  std::optional<CounterMatrix> matrix;
+  std::string error;
+};
+
+template <typename Read>
+Outcome outcome_of(Read read) {
+  try {
+    return {read(), ""};
+  } catch (const std::exception& e) {
+    return {std::nullopt, e.what()};
+  }
+}
+
+/// Field-wise identity (CounterMatrix has no operator==), series included.
+void expect_identical(const CounterMatrix& a, const CounterMatrix& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.suite_name(), b.suite_name()) << label;
+  EXPECT_EQ(a.workload_names(), b.workload_names()) << label;
+  EXPECT_EQ(a.counter_names(), b.counter_names()) << label;
+  EXPECT_TRUE(a.values() == b.values()) << label;
+  ASSERT_EQ(a.has_series(), b.has_series()) << label;
+  if (!a.has_series()) return;
+  for (std::size_t w = 0; w < a.num_workloads(); ++w) {
+    for (std::size_t c = 0; c < a.num_counters(); ++c) {
+      EXPECT_EQ(a.series(w, c), b.series(w, c)) << label;
+    }
+  }
+}
+
+void expect_same(const Outcome& got, const Outcome& want,
+                 const std::string& label) {
+  EXPECT_EQ(got.error, want.error) << label;
+  ASSERT_EQ(got.matrix.has_value(), want.matrix.has_value()) << label;
+  if (got.matrix) expect_identical(*got.matrix, *want.matrix, label);
+}
+
+// Aggregate inputs: the interchange hardening cases (BOM, CRLF, quoting,
+// no final newline, hard numbers for the fast path) and every rejection.
+const std::vector<std::pair<std::string, std::string>>& aggregate_cases() {
+  static const std::vector<std::pair<std::string, std::string>> cases = {
+      {"mix",
+       "\xEF\xBB\xBFworkload,\"c,0\",c1\r\n"
+       "\"w \"\"q\"\"\",1.5,-2e-3\r\n"
+       "\n"
+       "plain,0.25,17\n"
+       "hard,9007199254740993,1.7976931348623157e308\n"
+       "last,3,4"},
+      {"ragged", "workload,c0,c1\nw0,1\n"},
+      {"nonnum", "workload,c0\nw0,abc\n"},
+      {"nonfinite", "workload,c0\nw0,1\nw1,inf\n"},
+      {"dup", "workload,c0\nw0,1\nw0,2\n"},
+      {"badheader", "nope,c0\nw0,1\n"},
+      {"blankheader", "\nworkload,c0\nw0,1\n"},
+      {"crline", "workload,c0\nw0,1\n\r\n"},
+      {"headeronly", "workload,c0\n"},
+      {"quote", "workload,c0\nw0,\"1\n"},
+      {"empty", ""},
+  };
+  return cases;
+}
+
+// Series inputs over the aggregates "workload,c0,c1\nw0,1,2\nw1,3,4\n".
+const std::vector<std::pair<std::string, std::string>>& series_cases() {
+  static const std::vector<std::pair<std::string, std::string>> cases = {
+      {"good",
+       "\xEF\xBB\xBFworkload,counter,sample,value\r\n"
+       "w0,c0,0,1\r\nw0,c1,0,2.5\nw1,c0,0,3\n\nw1,c1,0,4\nw0,c0,1,0.1"},
+      {"unknownworkload", "workload,counter,sample,value\nzz,c0,0,1\n"},
+      {"unknowncounter", "workload,counter,sample,value\nw0,cX,0,1\n"},
+      {"nondense", "workload,counter,sample,value\nw0,c0,1,1\n"},
+      {"badindex", "workload,counter,sample,value\nw0,c0,-1,1\n"},
+      {"nonfinite", "workload,counter,sample,value\nw0,c0,0,nan\n"},
+      {"threecells", "workload,counter,sample,value\nw0,c0,0\n"},
+      {"coverage", "workload,counter,sample,value\nw0,c0,0,1\n"},
+      {"badheader", "workload,counter,index,value\n"},
+      {"empty", ""},
+  };
+  return cases;
+}
+
+constexpr const char* kSeriesBase = "workload,c0,c1\nw0,1,2\nw1,3,4\n";
 
 class StreamedReadTest : public ::testing::Test {
  protected:
+  // Files are named per test: ctest runs the cases of this fixture as
+  // parallel processes over one temp directory.
   std::string make(const std::string& name, const std::string& content) {
-    const std::string p = ::testing::TempDir() + "/perspector_ingest_" + name;
+    const std::string p =
+        ::testing::TempDir() + "/perspector_ingest_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + name;
     std::ofstream out(p, std::ios::binary);
     out << content;
     out.close();
@@ -154,84 +317,110 @@ class StreamedReadTest : public ::testing::Test {
   std::vector<std::string> created_;
 };
 
-/// Field-wise identity (CounterMatrix has no operator==).
-void expect_identical(const CounterMatrix& a, const CounterMatrix& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.workload_names(), b.workload_names()) << label;
-  EXPECT_EQ(a.counter_names(), b.counter_names()) << label;
-  EXPECT_TRUE(a.values() == b.values()) << label;
-  EXPECT_EQ(a.has_series(), b.has_series()) << label;
-}
-
 TEST_F(StreamedReadTest, MatchesSlurpAtEveryChunkSize) {
-  // CRLF rows, a quoted workload with comma + doubled quote, BOM, and a
-  // last line without a newline — all the interchange hardening cases.
-  const std::string p = make("mix.csv",
-                             "\xEF\xBB\xBFworkload,\"c,0\",c1\r\n"
-                             "\"w \"\"q\"\"\",1.5,-2e-3\r\n"
-                             "plain,0.25,17\n"
-                             "last,3,4");
-  const CounterMatrix slurped = core::read_aggregates_csv_slurp("s", p);
-  for (std::size_t chunk : kChunkSizes) {
-    for (bool io_thread : {false, true}) {
-      core::StreamedReadOptions options;
-      options.chunk_bytes = chunk;
-      options.io_thread = io_thread;
-      const CounterMatrix streamed =
-          core::read_aggregates_csv_streamed("s", p, options);
-      expect_identical(streamed, slurped,
-                       "chunk=" + std::to_string(chunk) +
-                           " io_thread=" + std::to_string(io_thread));
+  // Text source and file source at every chunk size against the oracle,
+  // under one origin so whole-input errors compare byte for byte too.
+  for (const auto& [name, content] : aggregate_cases()) {
+    const std::string p = make(name + ".csv", content);
+    const Outcome want = outcome_of([&] {
+      std::istringstream in(content);
+      return oracle::read_aggregates("s", in, p);
+    });
+    expect_same(outcome_of([&] {
+                  ingest::CsvStream rows(content);
+                  return core::read_aggregates_rows("s", rows, p);
+                }),
+                want, name + " text");
+    for (std::size_t chunk : kChunkSizes) {
+      expect_same(outcome_of([&] {
+                    std::ifstream in(p, std::ios::binary);
+                    ingest::CsvStream rows(in, chunk);
+                    return core::read_aggregates_rows("s", rows, p);
+                  }),
+                  want, name + " chunk=" + std::to_string(chunk));
     }
   }
-}
-
-template <typename Read>
-std::string error_of(Read read, const std::string& p) {
-  try {
-    read(p);
-  } catch (const std::exception& e) {
-    return e.what();
+  const CounterMatrix base = core::read_aggregates_csv_text("s", kSeriesBase);
+  for (const auto& [name, content] : series_cases()) {
+    const std::string p = make("series_" + name + ".csv", content);
+    const Outcome want = outcome_of([&] {
+      std::istringstream in(content);
+      return oracle::attach_series(base, in, p);
+    });
+    expect_same(outcome_of([&] {
+                  ingest::CsvStream rows(content);
+                  return core::attach_series_rows(base, rows, p);
+                }),
+                want, "series " + name + " text");
+    for (std::size_t chunk : kChunkSizes) {
+      expect_same(outcome_of([&] {
+                    std::ifstream in(p, std::ios::binary);
+                    ingest::CsvStream rows(in, chunk);
+                    return core::attach_series_rows(base, rows, p);
+                  }),
+                  want, "series " + name + " chunk=" + std::to_string(chunk));
+    }
   }
-  return "";
 }
 
 TEST_F(StreamedReadTest, ErrorMessagesMatchSlurpByteForByte) {
-  const std::vector<std::pair<std::string, std::string>> cases = {
-      {"ragged", "workload,c0,c1\nw0,1\n"},
-      {"nonnum", "workload,c0\nw0,abc\n"},
-      {"nonfinite", "workload,c0\nw0,1\nw1,inf\n"},
-      {"dup", "workload,c0\nw0,1\nw0,2\n"},
-      {"badheader", "nope,c0\nw0,1\n"},
-      {"headeronly", "workload,c0\n"},
-      {"empty", ""},
-  };
-  for (const auto& [name, content] : cases) {
+  // The public entry points, each against its oracle twin.
+  std::size_t errors = 0;
+  for (const auto& [name, content] : aggregate_cases()) {
     const std::string p = make(name + ".csv", content);
-    const std::string slurp_error = error_of(
-        [](const std::string& path) {
-          core::read_aggregates_csv_slurp("s", path);
-        },
-        p);
-    ASSERT_FALSE(slurp_error.empty()) << name;
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{4096}}) {
-      const std::string streamed_error = error_of(
-          [chunk](const std::string& path) {
-            core::StreamedReadOptions options;
-            options.chunk_bytes = chunk;
-            core::read_aggregates_csv_streamed("s", path, options);
-          },
-          p);
-      EXPECT_EQ(streamed_error, slurp_error) << name << " chunk=" << chunk;
-    }
+    const Outcome file = outcome_of([&] {
+      return core::read_aggregates_csv("s", p);
+    });
+    expect_same(file, outcome_of([&] {
+                  return oracle::read_aggregates_csv("s", p);
+                }),
+                name + " file");
+    expect_same(outcome_of([&] {
+                  return core::read_aggregates_csv_text("s", content);
+                }),
+                outcome_of([&] {
+                  return oracle::read_aggregates_csv_text("s", content);
+                }),
+                name + " text");
+    if (!file.error.empty()) ++errors;
   }
+  const std::string agg = make("series_base.csv", kSeriesBase);
+  for (const auto& [name, content] : series_cases()) {
+    const std::string p = make("series_" + name + ".csv", content);
+    const Outcome file = outcome_of([&] {
+      return core::read_with_series_csv("s", agg, p);
+    });
+    expect_same(file, outcome_of([&] {
+                  return oracle::read_with_series_csv("s", agg, p);
+                }),
+                "series " + name + " file");
+    expect_same(outcome_of([&] {
+                  return core::read_with_series_csv_text("s", kSeriesBase,
+                                                         content);
+                }),
+                outcome_of([&] {
+                  return oracle::read_with_series_csv_text("s", kSeriesBase,
+                                                           content);
+                }),
+                "series " + name + " text");
+    if (!file.error.empty()) ++errors;
+  }
+  EXPECT_EQ(errors, aggregate_cases().size() + series_cases().size() - 2);
+  const std::string missing = ::testing::TempDir() + "/perspector_no_such.csv";
+  expect_same(outcome_of([&] {
+                return core::read_aggregates_csv("s", missing);
+              }),
+              outcome_of([&] {
+                return oracle::read_aggregates_csv("s", missing);
+              }),
+              "missing file");
 }
 
 TEST_F(StreamedReadTest, ErrorsCarryByteOffsets) {
   // "workload,c0\n" is 12 bytes; the bad row starts at byte 12.
   const std::string p = make("offset.csv", "workload,c0\nw0,nan\n");
   try {
-    core::read_aggregates_csv_streamed("s", p);
+    core::read_aggregates_csv("s", p);
     FAIL() << "expected throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("CSV line 2 (byte 12)"),
@@ -240,12 +429,66 @@ TEST_F(StreamedReadTest, ErrorsCarryByteOffsets) {
   }
 }
 
-TEST_F(StreamedReadTest, AutoDispatchReadsSmallFilesIdentically) {
-  // Far below the 1 MiB threshold: read_aggregates_csv slurps, but the
-  // forced-streamed path must agree anyway.
-  const std::string p = make("small.csv", "workload,c0\nw0,1.25\nw1,2.5\n");
-  expect_identical(core::read_aggregates_csv("s", p),
-                   core::read_aggregates_csv_streamed("s", p), "small");
+TEST_F(StreamedReadTest, FileAndTextReadsAgree) {
+  const std::string agg_text = "workload,c0,c1\r\nw0,1.25,2\nw1,2.5,0.1\n";
+  const std::string series_text =
+      "workload,counter,sample,value\nw0,c0,0,1\nw0,c1,0,2\n"
+      "w1,c0,0,3\nw1,c1,0,4\nw1,c1,1,5\n";
+  const std::string agg = make("small.csv", agg_text);
+  const std::string ser = make("small_series.csv", series_text);
+  expect_identical(core::read_aggregates_csv("s", agg),
+                   core::read_aggregates_csv_text("s", agg_text),
+                   "aggregates");
+  expect_identical(core::read_with_series_csv("s", agg, ser),
+                   core::read_with_series_csv_text("s", agg_text, series_text),
+                   "series");
+}
+
+TEST_F(StreamedReadTest, FileLongerThanOneChunkMatchesOneChunkRead) {
+  // ~1.5 MiB: the file reader reads the first 1 MiB chunk inline and the
+  // rest on the IO thread; the text reader sees one chunk.
+  std::string text = "workload,c0,c1,c2\n";
+  for (std::size_t w = 0; text.size() < ingest::kChunkBytes * 3 / 2; ++w) {
+    const std::string n = std::to_string(w);
+    text += "\"workload," + n + "\"," + n + ".125,-" +
+            std::to_string(w * 7 % 1000) + "e-3," + std::to_string(w * 31) +
+            "\r\n";
+  }
+  const std::string p = make("large.csv", text);
+  const CounterMatrix file = core::read_aggregates_csv("s", p);
+  ASSERT_GT(file.num_workloads(), 20000u);
+  expect_identical(file, core::read_aggregates_csv_text("s", text), "text");
+  std::ifstream in(p, std::ios::binary);
+  ingest::CsvStream one_chunk(in, text.size());
+  expect_identical(file, core::read_aggregates_rows("s", one_chunk, "s"),
+                   "one chunk");
+  expect_identical(file, oracle::read_aggregates_csv("s", p), "oracle");
+}
+
+TEST_F(StreamedReadTest, FileSeriesUnknownNameReportsLocation) {
+  const std::string agg = make("loc_agg.csv", "workload,c0\nw0,1\n");
+  const std::string ser =
+      make("loc_ser.csv", "workload,counter,sample,value\nw0,cX,0,1\n");
+  try {
+    core::read_with_series_csv("s", agg, ser);
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "CSV line 2 (byte 30): CounterMatrix: unknown counter 'cX'");
+  }
+}
+
+TEST(SeriesText, UnknownNameReportsLocation) {
+  // The inline-CSV path of load_suite and score requests.
+  try {
+    core::read_with_series_csv_text(
+        "s", "workload,c0\nw0,1\n",
+        "workload,counter,sample,value\nw0,c0,0,1\nzz,c0,0,1\n");
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "CSV line 3 (byte 40): CounterMatrix: unknown workload 'zz'");
+  }
 }
 
 // ---- delta ingestion helpers ----------------------------------------------
@@ -275,6 +518,19 @@ TEST(AppendWorkloads, RearrangesShuffledPayloadColumns) {
   EXPECT_EQ(grown.series(3, 0), (std::vector<double>{7.0}));
 }
 
+TEST(AppendWorkloads, SeriesUnknownNameReportsLocation) {
+  // The series payload may name only the new workloads.
+  try {
+    core::append_workloads_csv_text(
+        series_suite(), "workload,c0,c1\nw3,1,2\n",
+        "workload,counter,sample,value\nw3,c0,0,1\nw0,c1,0,2\n");
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "CSV line 3 (byte 40): CounterMatrix: unknown workload 'w0'");
+  }
+}
+
 TEST(AppendSamples, ReportsTouchedWorkloadRows) {
   const CounterMatrix base = series_suite();
   std::vector<std::size_t> touched;
@@ -300,6 +556,32 @@ TEST(AppendSamples, RejectsNonDenseContinuation) {
   EXPECT_THROW(core::append_samples_csv_text(
                    base, "workload,counter,sample,value\nw0,c0,5,1\n"),
                std::runtime_error);
+}
+
+TEST(AppendSamples, UnknownNameReportsLocation) {
+  try {
+    core::append_samples_csv_text(
+        series_suite(),
+        "workload,counter,sample,value\nw0,c0,2,1\nw0,zz,0,1\n");
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "CSV line 3 (byte 40): CounterMatrix: unknown counter 'zz'");
+  }
+}
+
+TEST(PerfStatComments, UnbalancedQuoteInACommentIsSkipped) {
+  // '#' lines are skipped before their cells are split, so a stray quote
+  // in a comment never reaches the cell scanner.
+  const auto records = core::parse_perf_stat(
+      "# started on \"Tue\n123,,cpu-cycles,1,100.00\n");
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].event, "cpu-cycles");
+  const auto data = core::parse_perf_stat_intervals(
+      "# time,counts,\"unit\n1.0,5,,a,1\n1.0,6,,b,1\n2.0,7,,a,1\n"
+      "2.0,8,,b,1\n");
+  EXPECT_EQ(data.events, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(data.series[0], (std::vector<double>{5.0, 7.0}));
 }
 
 TEST(ParseNumber, FastPathIsBitIdenticalToFromChars) {

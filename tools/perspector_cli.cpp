@@ -94,8 +94,8 @@ struct Args {
 // Flags that take no value; everything else is --key <value>.
 const std::set<std::string>& boolean_flags() {
   static const std::set<std::string> flags = {
-      "metrics", "stdio", "ping", "stats", "shutdown", "verify",
-      "no-io-thread", "submit", "follow", "job-list", "shard-stats"};
+      "metrics", "stdio", "ping", "stats", "shutdown",
+      "submit", "follow", "job-list", "shard-stats"};
   return flags;
 }
 
@@ -147,7 +147,7 @@ const char* general_usage_text() {
       "  compare --csv <a.csv> --csv <b.csv> ... [--events all|llc|tlb|branch]\n"
       "  subset  --csv <agg.csv> --size K [--method lhs|random|prior] [--seed S]\n"
       "          [--search scored [--suite <name>] [--candidates N]]\n"
-      "  ingest  --csv <agg.csv> [--chunk-kb N] [--no-io-thread] [--verify]\n"
+      "  ingest  --csv <agg.csv>                  parse a CSV, print shape, MiB/s\n"
       "  serve   [--port N | --stdio] [--workers N] [--cache-dir PATH] ...\n"
       "  client  --port N (--suite <name> | --csv <file> | --input <file>)\n"
       "          [--load-suite NAME | --add-workload NAME |\n"
@@ -215,16 +215,10 @@ std::string command_usage_text(const std::string& command) {
            "  --candidates N   LHS candidates to evaluate (default 64)\n";
   }
   if (command == "ingest") {
-    return "usage: perspector ingest --csv <agg.csv> [--chunk-kb N]\n"
-           "                         [--no-io-thread] [--verify]\n"
-           "  Parse an aggregates CSV through the streaming reader (chunked\n"
-           "  IO-thread pipeline, zero per-field allocation) and print the\n"
-           "  parsed shape and throughput.\n"
-           "  --chunk-kb N     chunk size in KiB (default 1024)\n"
-           "  --no-io-thread   read chunks inline instead of overlapping a\n"
-           "                   dedicated IO thread with parsing\n"
-           "  --verify         also parse via the slurp reader and confirm\n"
-           "                   the two matrices are byte-identical\n";
+    return "usage: perspector ingest --csv <agg.csv>\n"
+           "  Parse an aggregates CSV through the CSV reader and print the\n"
+           "  parsed shape and throughput. Files longer than one 1 MiB chunk\n"
+           "  are read on an IO thread overlapped with parsing.\n";
   }
   if (command == "serve") {
     return "usage: perspector serve [--port N | --stdio] [--threads N]\n"
@@ -286,9 +280,9 @@ std::string command_usage_text(const std::string& command) {
            "  the score request (default 1), prints each report to stdout\n"
            "  (byte-identical to the one-shot command), and cache/error\n"
            "  status (with each response's trace id) to stderr.\n"
-           "  --input <file> streams the CSV through the chunked ingest\n"
-           "  reader and sends the parsed matrix as a lossless inline\n"
-           "  request (large files never buffer twice as raw text).\n"
+           "  --input <file> parses the CSV client-side and sends the\n"
+           "  parsed matrix as a lossless inline request (large files\n"
+           "  never buffer twice as raw text).\n"
            "  Live-suite mutation flags send one mutate request before any\n"
            "  scores: --load-suite/--add-workload take their payload from\n"
            "  --csv/--series, --append-samples from --series, and\n"
@@ -516,36 +510,11 @@ int cmd_subset(const Args& args) {
   return 0;
 }
 
-/// Field-wise equality of two counter matrices (CounterMatrix has no
-/// operator==; bit-exact doubles are the whole point of the check).
-bool matrices_identical(const core::CounterMatrix& a,
-                        const core::CounterMatrix& b) {
-  if (a.workload_names() != b.workload_names()) return false;
-  if (a.counter_names() != b.counter_names()) return false;
-  if (!(a.values() == b.values())) return false;
-  if (a.has_series() != b.has_series()) return false;
-  if (!a.has_series()) return true;
-  for (std::size_t w = 0; w < a.num_workloads(); ++w) {
-    for (std::size_t c = 0; c < a.num_counters(); ++c) {
-      if (a.series(w, c) != b.series(w, c)) return false;
-    }
-  }
-  return true;
-}
-
 int cmd_ingest(const Args& args) {
   const auto csv = args.get("csv");
   if (!csv) return usage();
-  core::StreamedReadOptions options;
-  if (const auto kb = args.get("chunk-kb")) {
-    const std::uint64_t n = parse_u64(*kb, "chunk-kb");
-    if (n == 0) throw UsageError("option '--chunk-kb' must be >= 1");
-    options.chunk_bytes = static_cast<std::size_t>(n) << 10;
-  }
-  options.io_thread = !args.has("no-io-thread");
-
   const auto started = std::chrono::steady_clock::now();
-  const auto data = core::read_aggregates_csv_streamed(*csv, *csv, options);
+  const auto data = core::read_aggregates_csv(*csv, *csv);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     started)
@@ -556,23 +525,11 @@ int cmd_ingest(const Args& args) {
   std::error_code ec;
   const auto bytes = std::filesystem::file_size(*csv, ec);
   if (!ec && elapsed > 0.0) {
-    char line[160];
-    std::snprintf(line, sizeof line,
-                  "%.1f MiB in %.3f s (%.1f MiB/s, chunk %zu KiB, io-thread "
-                  "%s)\n",
+    char line[96];
+    std::snprintf(line, sizeof line, "%.1f MiB in %.3f s (%.1f MiB/s)\n",
                   static_cast<double>(bytes) / 1048576.0, elapsed,
-                  static_cast<double>(bytes) / 1048576.0 / elapsed,
-                  options.chunk_bytes >> 10, options.io_thread ? "on" : "off");
+                  static_cast<double>(bytes) / 1048576.0 / elapsed);
     std::cout << line;
-  }
-  if (args.has("verify")) {
-    const auto slurped = core::read_aggregates_csv_slurp(*csv, *csv);
-    if (!matrices_identical(data, slurped)) {
-      throw std::runtime_error(
-          "verify failed: streamed and slurped matrices differ");
-    }
-    std::cout << "verify: streamed matrix is identical to the slurp "
-                 "reader's\n";
   }
   return 0;
 }
@@ -820,8 +777,8 @@ int cmd_client(const Args& args) {
   }
 
   // Score request: --suite names a built-in (or a resident suite loaded
-  // above), --csv ships raw CSV text, --input streams a CSV through the
-  // chunked ingest reader and ships the parsed matrix losslessly.
+  // above), --csv ships raw CSV text, --input parses a CSV client-side and
+  // ships the parsed matrix losslessly.
   const bool csv_is_payload = mutate_flags == 1 && !drop_workload;
   const bool csv_scores = csv && !csv_is_payload;
   if ((suite ? 1 : 0) + (csv_scores ? 1 : 0) + (input ? 1 : 0) > 1) {
@@ -835,12 +792,12 @@ int cmd_client(const Args& args) {
         score.instructions = parse_u64(*n, "instructions");
       }
     } else if (input) {
-      // Stream the file through the ingest pipeline, then forward the
-      // parsed matrix as lossless (%.17g) CSV — byte-identical scoring
-      // to --csv, without the server re-validating a giant raw payload.
+      // Parse the file client-side, then forward the parsed matrix as
+      // lossless (%.17g) CSV — byte-identical scoring to --csv, without
+      // the server re-validating a giant raw payload.
       score.name = *input;
       score.csv_text = core::write_aggregates_csv_text(
-          core::read_aggregates_csv_streamed(*input, *input));
+          core::read_aggregates_csv(*input, *input));
     } else {
       score.name = *csv;
       score.csv_text = read_file(*csv);
