@@ -1,7 +1,8 @@
 // serve::run_client — scripted client for the scoring service.
 //
 // Builds the NDJSON request lines for one run (optional ping, K pipelined
-// copies of a score request, optional metrics / shutdown), writes them all
+// copies of a score request, optional metrics / shutdown) with the
+// protocol's own request encoders (serve/protocol.hpp), writes them all
 // before reading anything (exercising the server's pipelining path), then
 // half-closes the socket and prints each response as it arrives:
 //
@@ -25,36 +26,14 @@
 #include <string>
 #include <vector>
 
+#include "serve/backend.hpp"
+
 namespace perspector::serve {
-
-/// The score request a client run repeats. Exactly one of `builtin` /
-/// `csv_text` is used: a non-empty `builtin` wins.
-struct ClientScore {
-  std::string builtin;                    // built-in suite name, or empty
-  std::uint64_t instructions = 500'000;   // built-in path only
-  std::string name = "inline";            // suite label for CSV data
-  std::string csv_text;                   // aggregate CSV payload
-  std::optional<std::string> series_text; // optional series CSV payload
-  std::string events = "all";
-  std::uint64_t deadline_ms = 0;          // 0 = server default
-};
-
-/// One live-suite mutation to pipeline before the score requests (see
-/// the mutate ops in protocol.hpp). `op` is the wire op name.
-struct ClientMutate {
-  std::string op;        // load_suite|add_workload|drop_workload|append_samples
-  std::string suite;     // resident suite name
-  std::string workload;  // drop_workload only
-  std::string csv_text;  // load_suite / add_workload payload
-  std::optional<std::string> series_text;
-  std::string events = "all";
-  std::uint64_t deadline_ms = 0;  // 0 = server default
-};
 
 /// One async-job interaction (DESIGN.md section 15). Unlike the
 /// pipelined score path, job mode keeps the connection open and speaks
-/// one request/response at a time: submit answers immediately with the
-/// job id; `follow` (or a non-empty `watch`) then polls job_watch every
+/// one request/response at a time: a submit answers immediately with the
+/// job id; `follow` (or a watch request) then polls job_watch every
 /// `watch_interval_ms` until the job reaches a terminal state, streaming
 /// progress records to `err` and printing the final subset to `out` as
 ///
@@ -64,31 +43,22 @@ struct ClientMutate {
 /// — the same two lines `perspector subset --search scored` prints, so
 /// scripts can diff the served search against the one-shot reference.
 struct ClientJob {
-  // generate_submit payload (exactly one of suite / csv_text):
-  std::string suite;                       // built-in suite name
-  std::uint64_t instructions = 500'000;    // built-in path only
-  std::string name = "uploaded";           // suite label for CSV data
-  std::string csv_text;                    // aggregate CSV payload
-  std::optional<std::string> series_text;  // optional series CSV payload
-  std::string events = "all";
-  std::uint64_t size = 8;        // subset target size
-  std::uint64_t candidates = 64; // LHS candidates to evaluate
-  std::uint64_t seed = 1234;
-  std::string client;            // fair-share admission bucket
-  bool submit = false;           // send generate_submit
-  bool follow = false;           // after submit: watch to completion
-  std::string watch;             // job id to watch (no submit)
-  std::string status;            // job id for one job_status
-  std::string cancel;            // job id to cancel
-  bool list = false;             // job_list
+  /// generate_submit (with its spec), job_watch / job_status /
+  /// job_cancel (with the job id) or job_list.
+  JobRequest request;
+  bool follow = false;  // after a submit: watch to completion
   std::uint64_t watch_interval_ms = 100;  // poll cadence while watching
 };
 
 struct ClientRun {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  std::vector<ClientMutate> mutations;  // sent (in order) before scores
-  std::optional<ClientScore> score;
+  /// Live-suite mutations, sent (in order) before the scores. Their ids
+  /// are assigned per run ("m0", "m1", ...).
+  std::vector<MutateRequest> mutations;
+  /// The score request the run repeats; copy i gets the id "i". A
+  /// deadline_ms of 0 leaves the server default.
+  std::optional<ScoreRequest> score;
   std::optional<ClientJob> job;  // job mode; takes precedence over score
   std::uint64_t repeat = 1;  // pipelined copies of `score`
   bool ping = false;         // prepend a ping

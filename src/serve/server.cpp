@@ -203,6 +203,22 @@ class Session {
       return;
     }
     entry.id = parsed.id;
+    if (parsed.op == Op::Score || parsed.op == Op::Mutate) {
+      // Scores and mutations share one admission budget: they occupy the
+      // same queue and are answered in the same arrival order.
+      if (pending_scores_ >= options_.max_queue) {
+        rejected_counter().increment();
+        entry.kind = QueueEntry::Kind::Ready;
+        entry.response = serialize_error(
+            parsed.id, "overloaded",
+            "admission queue full (max-queue=" +
+                std::to_string(options_.max_queue) + ")");
+        pending_.push_back(std::move(entry));
+        return;
+      }
+      admitted_counter().increment();
+      ++pending_scores_;
+    }
     switch (parsed.op) {
       case Op::Ping:
         entry.kind = QueueEntry::Kind::Ping;
@@ -243,20 +259,6 @@ class Session {
         break;
       }
       case Op::Mutate: {
-        // Mutations share the scores' admission budget: they occupy the
-        // same queue and are answered in the same arrival order.
-        if (pending_scores_ >= options_.max_queue) {
-          rejected_counter().increment();
-          entry.kind = QueueEntry::Kind::Ready;
-          entry.response = serialize_error(
-              parsed.id, "overloaded",
-              "admission queue full (max-queue=" +
-                  std::to_string(options_.max_queue) + ")");
-          pending_.push_back(std::move(entry));
-          return;
-        }
-        admitted_counter().increment();
-        ++pending_scores_;
         entry.kind = QueueEntry::Kind::Mutate;
         entry.mutate = std::move(parsed.mutate);
         ++sequence_;
@@ -280,18 +282,6 @@ class Session {
         break;
       }
       case Op::Score: {
-        if (pending_scores_ >= options_.max_queue) {
-          rejected_counter().increment();
-          entry.kind = QueueEntry::Kind::Ready;
-          entry.response = serialize_error(
-              parsed.id, "overloaded",
-              "admission queue full (max-queue=" +
-                  std::to_string(options_.max_queue) + ")");
-          pending_.push_back(std::move(entry));
-          return;
-        }
-        admitted_counter().increment();
-        ++pending_scores_;
         entry.kind = QueueEntry::Kind::Score;
         entry.request = std::move(parsed.score);
         // The content key is computed once here and reused everywhere
@@ -352,42 +342,24 @@ class Session {
     std::vector<std::size_t> batch_slots;
     for (std::size_t i = 0; i < take; ++i) {
       QueueEntry& entry = pending_[i];
-      if (entry.kind == QueueEntry::Kind::Mutate) {
-        --pending_scores_;
-        if (expired(entry)) {
-          timeouts_counter().increment();
-          ScoreResponse timed_out;
-          timed_out.id = entry.id;
-          timed_out.error = "timeout";
-          timed_out.message = "request waited past its deadline of " +
-                              std::to_string(entry.deadline_ms) + " ms";
-          timed_out.trace_id = entry.mutate.trace_id;
-          entry.response = serialize_response(timed_out);
-        } else {
-          const MutateResponse mutated = engine_.mutate(entry.mutate);
-          entry.response = serialize_mutate_response(mutated);
-          ScoreResponse proxy;  // the slow-request log's common shape
-          proxy.id = mutated.id;
-          proxy.ok = mutated.ok;
-          proxy.cache_hit = mutated.cache_hit;
-          proxy.trace_id = mutated.trace_id;
-          maybe_log_slow(entry, proxy);
-        }
-        entry.kind = QueueEntry::Kind::Ready;
-        continue;
-      }
-      if (entry.kind != QueueEntry::Kind::Score) continue;
+      const bool mutate = entry.kind == QueueEntry::Kind::Mutate;
+      if (!mutate && entry.kind != QueueEntry::Kind::Score) continue;
       --pending_scores_;
       if (expired(entry)) {
         timeouts_counter().increment();
         entry.kind = QueueEntry::Kind::Ready;
-        ScoreResponse timed_out;
-        timed_out.id = entry.id;
-        timed_out.error = "timeout";
-        timed_out.message = "request waited past its deadline of " +
-                            std::to_string(entry.deadline_ms) + " ms";
-        timed_out.trace_id = entry.request.trace_id;
-        entry.response = serialize_response(timed_out);
+        entry.response = serialize_error(
+            entry.id, "timeout",
+            "request waited past its deadline of " +
+                std::to_string(entry.deadline_ms) + " ms",
+            mutate ? entry.mutate.trace_id : entry.request.trace_id);
+        continue;
+      }
+      if (mutate) {
+        const MutateResponse mutated = engine_.mutate(entry.mutate);
+        entry.kind = QueueEntry::Kind::Ready;
+        entry.response = serialize_mutate_response(mutated);
+        maybe_log_slow(entry, mutated, mutated.cache_hit);
         continue;
       }
       batch.push_back(entry.request);
@@ -399,7 +371,7 @@ class Session {
       QueueEntry& entry = pending_[batch_slots[b]];
       entry.kind = QueueEntry::Kind::Ready;
       entry.response = serialize_response(responses[b]);
-      maybe_log_slow(entry, responses[b]);
+      maybe_log_slow(entry, responses[b], responses[b].cache_hit);
     }
 
     for (std::size_t i = 0; i < take; ++i) {
@@ -451,7 +423,8 @@ class Session {
   /// enqueue-to-response latency (queue wait + scoring, measured with the
   /// session clock so tests can fake it) exceeds the configured
   /// threshold and the logger is on.
-  void maybe_log_slow(const QueueEntry& entry, const ScoreResponse& response) {
+  void maybe_log_slow(const QueueEntry& entry, const ReplyHeader& response,
+                      bool cache_hit) {
     if (options_.slow_request_ms == 0) return;
     if (!obs::Logger::instance().enabled(obs::LogLevel::kWarn)) return;
     const double latency_ms =
@@ -465,7 +438,7 @@ class Session {
         {obs::field("trace", trace), obs::field("id", response.id),
          obs::field_f64("latency_ms", latency_ms),
          obs::field_u64("threshold_ms", options_.slow_request_ms),
-         obs::field_bool("cache_hit", response.cache_hit),
+         obs::field_bool("cache_hit", cache_hit),
          obs::field_bool("ok", response.ok)});
   }
 

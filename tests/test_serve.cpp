@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/counter_matrix.hpp"
+#include "jobs/job.hpp"
 #include "serve/content_hash.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
@@ -310,6 +312,311 @@ TEST(ServeProtocol, MutateResponseRoundTripsExactly) {
   EXPECT_EQ(error_back.error, "bad_request");
   EXPECT_EQ(error_back.message, error.message);
   EXPECT_FALSE(parse_mutate_response("not json", error_back));
+}
+
+// ---- envelope: every op round-trips through its encoder -----------------
+
+void expect_same_header(const RequestHeader& got, const RequestHeader& want) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.trace_id, want.trace_id);
+}
+
+void expect_same(const ScoreRequest& got, const ScoreRequest& want) {
+  expect_same_header(got, want);
+  EXPECT_EQ(got.builtin, want.builtin);
+  EXPECT_EQ(got.instructions, want.instructions);
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.deadline_ms, want.deadline_ms);
+  EXPECT_TRUE(got.content_key == want.content_key);
+  EXPECT_EQ(got.csv_name, want.csv_name);
+  EXPECT_EQ(got.csv_text, want.csv_text);
+  EXPECT_EQ(got.series_text, want.series_text);
+}
+
+void expect_same(const MutateRequest& got, const MutateRequest& want) {
+  expect_same_header(got, want);
+  EXPECT_EQ(got.op, want.op);
+  EXPECT_EQ(got.suite, want.suite);
+  EXPECT_EQ(got.workload, want.workload);
+  EXPECT_EQ(got.csv_text, want.csv_text);
+  EXPECT_EQ(got.series_text, want.series_text);
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.deadline_ms, want.deadline_ms);
+}
+
+void expect_same(const JobRequest& got, const JobRequest& want) {
+  expect_same_header(got, want);
+  EXPECT_EQ(got.op, want.op);
+  EXPECT_TRUE(got.spec == want.spec);
+  EXPECT_EQ(got.job, want.job);
+  EXPECT_EQ(got.from, want.from);
+}
+
+constexpr const char* kAggregates = "workload,c0,c1\na,1,2\nb,3,4\n";
+constexpr const char* kSeries =
+    "workload,counter,sample,value\na,c0,0,1\na,c1,0,2\nb,c0,0,3\nb,c1,0,4\n";
+
+TEST(ServeProtocol, EveryOpRoundTripsThroughItsEncoder) {
+  for (const OpRow& row : kOpTable) {
+    SCOPED_TRACE(std::string(row.name));
+    std::string line;
+    ParsedRequest parsed;
+    switch (row.op) {
+      case Op::Score: {
+        ScoreRequest builtin;
+        builtin.id = "s";
+        builtin.trace_id = 0x9f86d081884c7d65ull;
+        builtin.builtin = "nbench";
+        builtin.instructions = 20'000;
+        builtin.events = "tlb";
+        builtin.deadline_ms = 250;
+        builtin.content_key = Key128{1, 2};
+        line = serialize_score_request(builtin);
+        parsed = parse_request_line(line);
+        ASSERT_TRUE(parsed.ok) << parsed.message;
+        expect_same(parsed.score, builtin);
+
+        ScoreRequest csv;
+        csv.id = "c";
+        csv.csv_name = "mini";
+        csv.csv_text = kAggregates;
+        csv.series_text = kSeries;
+        const ParsedRequest csv_parsed =
+            parse_request_line(serialize_score_request(csv));
+        ASSERT_TRUE(csv_parsed.ok) << csv_parsed.message;
+        expect_same(csv_parsed.score, csv);
+        ASSERT_NE(csv_parsed.score.data, nullptr);
+        EXPECT_TRUE(csv_parsed.score.data->has_series());
+        break;
+      }
+      case Op::Mutate: {
+        MutateRequest mutate;
+        mutate.id = "m";
+        mutate.trace_id = 7;
+        mutate.op = row.mutate;
+        mutate.suite = "live";
+        mutate.events = "llc";
+        mutate.deadline_ms = 40;
+        if (row.mutate == MutateOp::DropWorkload) {
+          mutate.workload = "a";
+        } else {
+          mutate.series_text = kSeries;
+          if (row.mutate != MutateOp::AppendSamples) {
+            mutate.csv_text = kAggregates;
+          }
+        }
+        line = serialize_mutate_request(mutate);
+        parsed = parse_request_line(line);
+        ASSERT_TRUE(parsed.ok) << parsed.message;
+        expect_same(parsed.mutate, mutate);
+        break;
+      }
+      case Op::Job: {
+        JobRequest job;
+        job.id = "j";
+        job.trace_id = 0x1122334455667788ull;
+        job.op = row.job;
+        if (row.job == JobOp::Submit) {
+          job.spec.csv_name = "up";
+          job.spec.csv_text = kAggregates;
+          job.spec.series_text = kSeries;
+          job.spec.events = "branch";
+          job.spec.target_size = 4;
+          job.spec.candidates = 16;
+          job.spec.seed = 9;
+          job.spec.client = "alice";
+        } else if (row.job != JobOp::List) {
+          job.job = "00112233445566ff";
+          if (row.job == JobOp::Watch) job.from = 5;
+        }
+        line = serialize_job_request(job);
+        parsed = parse_request_line(line);
+        ASSERT_TRUE(parsed.ok) << parsed.message;
+        expect_same(parsed.job, job);
+        break;
+      }
+      case Op::Ping:
+      case Op::Metrics:
+      case Op::Stats:
+      case Op::ShardStats:
+      case Op::Shutdown:
+        line = serialize_control_request(row.op, "c");
+        parsed = parse_request_line(line);
+        ASSERT_TRUE(parsed.ok) << parsed.message;
+        break;
+    }
+    // The line names its op first, and that name selects this row.
+    EXPECT_EQ(line.rfind("{\"op\":\"" + std::string(row.name) + "\"", 0), 0u)
+        << line;
+    EXPECT_EQ(parsed.op, row.op);
+    EXPECT_EQ(find_op(row.name), &row);
+  }
+  // A submit naming a built-in suite carries no uploaded-suite name: the
+  // name is part of the job id.
+  JobRequest builtin;
+  builtin.op = JobOp::Submit;
+  builtin.spec.builtin = "nbench";
+  const ParsedRequest parsed =
+      parse_request_line(serialize_job_request(builtin));
+  ASSERT_TRUE(parsed.ok) << parsed.message;
+  expect_same(parsed.job, builtin);
+}
+
+TEST(ServeProtocol, ForwardedLinesCarryNoDeadline) {
+  // The router's session enforced the deadline; a worker must not time
+  // the request out a second time, so the forwarded line drops it while
+  // the client's line keeps it.
+  ScoreRequest score;
+  score.builtin = "nbench";
+  score.deadline_ms = 250;
+  EXPECT_NE(serialize_score_request(score).find("\"deadline_ms\":250"),
+            std::string::npos);
+  const std::string score_line = forwarded_line(score);
+  EXPECT_EQ(score_line.find("deadline_ms"), std::string::npos) << score_line;
+  EXPECT_EQ(parse_request_line(score_line).score.deadline_ms, 0u);
+
+  MutateRequest mutate;
+  mutate.op = MutateOp::DropWorkload;
+  mutate.suite = "live";
+  mutate.workload = "a";
+  mutate.deadline_ms = 40;
+  EXPECT_NE(serialize_mutate_request(mutate).find("\"deadline_ms\":40"),
+            std::string::npos);
+  const std::string mutate_line = forwarded_line(mutate);
+  EXPECT_EQ(mutate_line.find("deadline_ms"), std::string::npos)
+      << mutate_line;
+  const ParsedRequest parsed = parse_request_line(mutate_line);
+  ASSERT_TRUE(parsed.ok) << parsed.message;
+  EXPECT_EQ(parsed.mutate.deadline_ms, 0u);
+}
+
+TEST(ServeProtocol, ScoreResponseRoundTripsExactly) {
+  ScoreResponse ok;
+  ok.id = "s1";
+  ok.ok = true;
+  ok.cache_hit = true;
+  ok.report = "report\n| a | b |\n";
+  ok.trace_id = 0x0123456789abcdefull;
+  ScoreResponse error;
+  error.id = "s2";
+  error.error = "unavailable";
+  error.message = "no worker available";
+  error.trace_id = 3;
+  ScoreResponse untraced;  // parse failures carry no id and no trace
+  untraced.error = "bad_request";
+  untraced.message = "json: bad number at byte 0";
+  for (const ScoreResponse& response : {ok, error, untraced}) {
+    const std::string line = serialize_response(response);
+    ScoreResponse back;
+    ASSERT_TRUE(parse_score_response(line, back)) << line;
+    EXPECT_EQ(serialize_response(back), line);
+  }
+  ScoreResponse back;
+  EXPECT_FALSE(parse_score_response("[]", back));
+  EXPECT_FALSE(parse_score_response(R"({"ok":false})", back));
+}
+
+TEST(ServeProtocol, JobResponseRoundTripsExactly) {
+  jobs::JobStatus status;
+  status.id = "00112233445566ff";
+  status.state = jobs::JobState::Running;
+  status.client = "alice";
+  status.evaluated = 3;
+  status.total = 16;
+  status.resumed = true;
+  status.best.valid = true;
+  status.best.candidate = 2;
+  status.best.deviation_pct = 1.25;
+  status.best.per_score_deviation_pct = {0.5, 1.0, 1.5, 2.0};
+  status.best.indices = {0, 3, 5, 7};
+  status.best.names = {"a", "d", "f", "h"};
+
+  std::vector<JobResponse> responses;
+  for (const JobOp op : {JobOp::Submit, JobOp::Status, JobOp::Watch,
+                         JobOp::Cancel, JobOp::List}) {
+    JobResponse response;
+    response.id = "j";
+    response.ok = true;
+    response.op = op;
+    response.trace_id = 0xfeedull;
+    response.worker = op == JobOp::Status ? 1 : -1;
+    if (op == JobOp::List) {
+      response.jobs = {status, status};
+      response.jobs[1].id = "ffeeddccbbaa0099";
+      response.jobs[1].best = {};
+    } else {
+      response.status = status;
+    }
+    response.duplicate = op == JobOp::Submit;
+    if (op == JobOp::Watch) {
+      jobs::JobProgress record;
+      record.seq = 4;
+      record.evaluated = 3;
+      record.total = 16;
+      record.best = status.best;
+      response.progress = {record};
+      response.next = 5;
+    }
+    responses.push_back(response);
+  }
+  JobResponse error;
+  error.id = "j";
+  error.error = "bad_request";
+  error.message = "unknown job '0000000000000000'";
+  error.trace_id = 9;
+  responses.push_back(error);
+
+  for (const JobResponse& response : responses) {
+    const std::string line = serialize_job_response(response);
+    JobResponse back;
+    ASSERT_TRUE(parse_job_response(line, back)) << line;
+    EXPECT_EQ(serialize_job_response(back), line);
+  }
+}
+
+TEST(ServeProtocol, IntegerFieldsBeyondTwoPow53AreRejected) {
+  // A double from 2^53 on cannot tell neighbouring integers apart (so
+  // 2^53 + 1 reads as 2^53), and casting one past 2^64 is undefined: each
+  // such value is a bad_request naming its field.
+  struct Case {
+    const char* field;
+    std::string prefix;  // the request up to the field
+    std::string suffix;  // the rest of the request
+  };
+  const std::vector<Case> cases = {
+      {"instructions", R"({"suite":"nbench","instructions":)", "}"},
+      {"deadline_ms", R"({"suite":"nbench","deadline_ms":)", "}"},
+      {"deadline_ms",
+       R"({"op":"drop_workload","suite":"s","workload":"a","deadline_ms":)",
+       "}"},
+      {"size", R"({"op":"generate_submit","suite":"nbench","size":)", "}"},
+      {"candidates", R"({"op":"generate_submit","suite":"nbench","candidates":)",
+       "}"},
+      {"seed", R"({"op":"generate_submit","suite":"nbench","seed":)", "}"},
+      {"from", R"({"op":"job_watch","job":"00112233445566ff","from":)", "}"},
+  };
+  for (const Case& c : cases) {
+    for (const char* value : {"1e300", "18446744073709551616",
+                              "9007199254740993", "9007199254740992"}) {
+      SCOPED_TRACE(c.prefix + value);
+      const ParsedRequest parsed = parse_request_line(c.prefix + value + c.suffix);
+      EXPECT_FALSE(parsed.ok);
+      EXPECT_EQ(parsed.error, "bad_request");
+      EXPECT_NE(parsed.message.find(std::string("'") + c.field + "'"),
+                std::string::npos)
+          << parsed.message;
+      EXPECT_NE(parsed.message.find("2^53"), std::string::npos)
+          << parsed.message;
+    }
+    const ParsedRequest largest =
+        parse_request_line(c.prefix + "9007199254740991" + c.suffix);
+    EXPECT_TRUE(largest.ok) << c.field << ": " << largest.message;
+  }
+  // The one that used to alias seed 0 onto a huge seed.
+  const ParsedRequest zero = parse_request_line(
+      R"({"op":"generate_submit","suite":"nbench","seed":-0.0})");
+  ASSERT_TRUE(zero.ok) << zero.message;
+  EXPECT_EQ(zero.job.spec.seed, 0u);
 }
 
 }  // namespace

@@ -16,7 +16,8 @@
 //       Scripted client for the scoring service.
 //
 // `perspector help` and `perspector <command> --help` print usage and
-// exit 0; genuine usage errors print usage and exit 1.
+// exit 0; genuine usage errors print usage and exit 1. An option the
+// command does not take, or a stray argument, is a usage error.
 //
 // Observability (any command): --trace <file.json> writes a Chrome
 // trace-event JSON of the run and prints a per-phase timing table;
@@ -72,7 +73,6 @@ struct UsageError : std::runtime_error {
 };
 
 struct Args {
-  std::vector<std::string> positional;
   std::vector<std::pair<std::string, std::string>> options;  // --key value
 
   std::optional<std::string> get(const std::string& key) const {
@@ -99,23 +99,50 @@ const std::set<std::string>& boolean_flags() {
   return flags;
 }
 
-Args parse_args(int argc, char** argv) {
+// Options every command accepts (observability and parallelism).
+const std::set<std::string>& global_options() {
+  static const std::set<std::string> options = {
+      "trace", "metrics", "metrics-json", "log-level", "log-file", "threads"};
+  return options;
+}
+
+/// One command: its usage text, the options it accepts besides the
+/// global ones (any other option is a usage error) and its body.
+struct Command {
+  std::string name;
+  std::string usage;
+  std::set<std::string> options;
+  int (*run)(const Args&) = nullptr;  // null for help, run from main
+};
+
+const std::vector<Command>& commands();
+
+const Command* find_command(const std::string& name) {
+  for (const Command& command : commands()) {
+    if (command.name == name) return &command;
+  }
+  return nullptr;
+}
+
+Args parse_args(int argc, char** argv, const Command& command) {
   Args args;
   for (int i = 2; i < argc; ++i) {
     const std::string token = argv[i];
-    if (token.rfind("--", 0) == 0) {
-      const std::string key = token.substr(2);
-      if (boolean_flags().count(key)) {
-        args.options.emplace_back(key, "1");
-        continue;
-      }
-      if (i + 1 >= argc) {
-        throw UsageError("option '" + token + "' needs a value");
-      }
-      args.options.emplace_back(key, argv[++i]);
-    } else {
-      args.positional.push_back(token);
+    if (token.rfind("--", 0) != 0) {
+      throw UsageError("unexpected argument '" + token + "'");
     }
+    const std::string key = token.substr(2);
+    if (!command.options.count(key) && !global_options().count(key)) {
+      throw UsageError("unknown option '" + token + "'");
+    }
+    if (boolean_flags().count(key)) {
+      args.options.emplace_back(key, "1");
+      continue;
+    }
+    if (i + 1 >= argc) {
+      throw UsageError("option '" + token + "' needs a value");
+    }
+    args.options.emplace_back(key, argv[++i]);
   }
   return args;
 }
@@ -171,145 +198,6 @@ const char* general_usage_text() {
       "                        Output is bit-identical for every N.\n";
 }
 
-/// Per-command usage text; empty for unknown commands.
-std::string command_usage_text(const std::string& command) {
-  if (command == "suites") {
-    return "usage: perspector suites\n"
-           "  List the built-in suite models available to demo/serve.\n";
-  }
-  if (command == "demo") {
-    return "usage: perspector demo [--suite <name>] [--instructions N]\n"
-           "  Simulate a built-in suite (default: nbench, 500000 instructions\n"
-           "  per workload) and print its full scoring report.\n";
-  }
-  if (command == "score") {
-    return "usage: perspector score --csv <agg.csv> [--series <ser.csv>]\n"
-           "                        [--events all|llc|tlb|branch]\n"
-           "  Score one suite from CSV counter data. The aggregate file is\n"
-           "  'workload,<counter>,...'; the optional series file is the long\n"
-           "  'workload,counter,sample,value' format (enables TrendScore).\n";
-  }
-  if (command == "compare") {
-    return "usage: perspector compare --csv <a.csv> --csv <b.csv> ...\n"
-           "                          [--events all|llc|tlb|branch]\n"
-           "  Score several suites together (joint normalization) and rank\n"
-           "  them by overall grade.\n";
-  }
-  if (command == "subset") {
-    return "usage: perspector subset --csv <agg.csv> --size K\n"
-           "                         [--method lhs|random|prior] [--seed S]\n"
-           "       perspector subset --search scored --size K\n"
-           "                         (--suite <name> [--instructions N]\n"
-           "                          | --csv <agg.csv> [--series <ser.csv>])\n"
-           "                         [--candidates N] [--seed S]\n"
-           "                         [--events all|llc|tlb|branch]\n"
-           "  Select a representative K-workload subset and report the mean\n"
-           "  score deviation against the full suite.\n"
-           "  --search scored runs the async-job candidate search (the same\n"
-           "  code path 'serve' jobs execute) synchronously and prints the\n"
-           "  reference result:\n"
-           "      subset: <name> <name> ...\n"
-           "      deviation_pct: <value>\n"
-           "  byte-identical to what 'client --submit --follow' prints for\n"
-           "  the same spec, so scripts can diff served against one-shot.\n"
-           "  --candidates N   LHS candidates to evaluate (default 64)\n";
-  }
-  if (command == "ingest") {
-    return "usage: perspector ingest --csv <agg.csv>\n"
-           "  Parse an aggregates CSV through the CSV reader and print the\n"
-           "  parsed shape and throughput. Files longer than one 1 MiB chunk\n"
-           "  are read on an IO thread overlapped with parsing.\n";
-  }
-  if (command == "serve") {
-    return "usage: perspector serve [--port N | --stdio] [--threads N]\n"
-           "                        [--cache-mb N] [--max-queue N]\n"
-           "                        [--max-batch N] [--deadline-ms N]\n"
-           "                        [--workers N] [--cache-dir PATH]\n"
-           "  Run the resident scoring service. Default transport is loopback\n"
-           "  TCP (--port 0 picks a free port and prints it); --stdio speaks\n"
-           "  the same newline-delimited-JSON protocol over stdin/stdout.\n"
-           "  --cache-mb N      result-cache budget in MiB (default 64; 0 off)\n"
-           "  --max-queue N     admission queue depth (default 64); overflow\n"
-           "                    is answered with a structured 'overloaded' error\n"
-           "  --max-batch N     max score requests per engine pass (default 16)\n"
-           "  --deadline-ms N   default queue-wait deadline (default 0 = none)\n"
-           "  --slow-ms N       warn-log requests slower than N ms (default 0\n"
-           "                    = off; needs --log-level warn or higher)\n"
-           "  --workers N       fork N single-threaded worker processes and\n"
-           "                    shard requests across them by content digest\n"
-           "                    (default 0 = score in-process); crashed\n"
-           "                    workers are restarted, responses are\n"
-           "                    byte-identical at any worker count\n"
-           "  --cache-dir PATH  disk-backed result store (survives restarts;\n"
-           "                    one live process per directory)\n"
-           "  --store-mb N      on-disk budget for --cache-dir (default 256)\n"
-           "  Async jobs (generate_submit/job_status/job_watch/job_cancel/\n"
-           "  job_list ops; see README 'Async jobs'):\n"
-           "  --jobs-dir PATH   per-job checkpoint logs; a restarted worker\n"
-           "                    resumes its jobs from here (empty = jobs run\n"
-           "                    without checkpoints and cannot resume)\n"
-           "  --job-queue N     max active (queued+running) jobs before\n"
-           "                    submits get a structured 'overloaded' error\n"
-           "                    (default 256)\n"
-           "  --jobs-per-client N  fair-share cap on active jobs per client\n"
-           "                    bucket (default 64)\n"
-           "  --checkpoint-every N  candidates between checkpoints (default\n"
-           "                    16; 0 = checkpoint only at terminal states)\n"
-           "  SIGTERM (or EOF in --stdio mode) drains admitted requests and\n"
-           "  exits 0. Add --metrics to print the serve.* counters on exit.\n";
-  }
-  if (command == "client") {
-    return "usage: perspector client --port N [--host H]\n"
-           "                         (--suite <name> [--instructions N]\n"
-           "                          | --csv <file> [--series <file>]\n"
-           "                          | --input <file>)\n"
-           "                         [--load-suite NAME | --add-workload NAME\n"
-           "                          | --drop-workload NAME --workload W\n"
-           "                          | --append-samples NAME]\n"
-           "                         [--events all|llc|tlb|branch]\n"
-           "                         [--repeat K] [--deadline-ms N]\n"
-           "                         [--submit [--follow] [--size K]\n"
-           "                          [--candidates N] [--seed S]\n"
-           "                          [--client NAME]\n"
-           "                          | --watch JOB | --job-status JOB\n"
-           "                          | --job-cancel JOB | --job-list]\n"
-           "                         [--watch-interval-ms N]\n"
-           "                         [--ping] [--metrics] [--stats]\n"
-           "                         [--shard-stats] [--shutdown]\n"
-           "  Scripted client for 'perspector serve'. Pipelines K copies of\n"
-           "  the score request (default 1), prints each report to stdout\n"
-           "  (byte-identical to the one-shot command), and cache/error\n"
-           "  status (with each response's trace id) to stderr.\n"
-           "  --input <file> parses the CSV client-side and sends the\n"
-           "  parsed matrix as a lossless inline request (large files\n"
-           "  never buffer twice as raw text).\n"
-           "  Live-suite mutation flags send one mutate request before any\n"
-           "  scores: --load-suite/--add-workload take their payload from\n"
-           "  --csv/--series, --append-samples from --series, and\n"
-           "  --drop-workload names the victim via --workload. A later\n"
-           "  '--suite NAME' score resolves the resident suite by name.\n"
-           "  --metrics appends a server-counter request, --stats a\n"
-           "  latency-histogram request (p50/p90/p99/p99.9), --shard-stats\n"
-           "  a worker-topology request ('worker.N.pid P' lines; router\n"
-           "  tier), --shutdown asks the server to exit after responding.\n"
-           "  Async-job flags switch to a lockstep conversation (one request,\n"
-           "  one response): --submit sends a generate_submit built from\n"
-           "  --suite/--csv plus --size/--candidates/--seed/--client and\n"
-           "  prints 'job: <id>'; --follow then polls job_watch every\n"
-           "  --watch-interval-ms (default 100) until the job finishes,\n"
-           "  streaming progress to stderr and printing the final\n"
-           "  'subset:'/'deviation_pct:' lines (byte-identical to\n"
-           "  'subset --search scored'). --watch JOB resumes watching an\n"
-           "  existing job; --job-status/--job-cancel/--job-list print one\n"
-           "  status line per job.\n"
-           "  Exits 0 when every response was ok, 3 otherwise.\n";
-  }
-  if (command == "help") {
-    return "usage: perspector help [<command>]\n";
-  }
-  return {};
-}
-
 int usage() {
   std::cerr << general_usage_text();
   return 1;
@@ -317,9 +205,8 @@ int usage() {
 
 int cmd_help(int argc, char** argv) {
   if (argc >= 3) {
-    const std::string text = command_usage_text(argv[2]);
-    if (!text.empty()) {
-      std::cout << text;
+    if (const Command* command = find_command(argv[2])) {
+      std::cout << command->usage;
       return 0;
     }
     std::cerr << "unknown command '" << argv[2] << "'\n";
@@ -330,7 +217,7 @@ int cmd_help(int argc, char** argv) {
   return 0;
 }
 
-int cmd_suites() {
+int cmd_suites(const Args&) {
   std::cout << "built-in suite models:\n"
             << "  parsec     13 multi-phase parallel applications\n"
             << "  spec17     43 CPU/memory workloads (rate + speed)\n"
@@ -675,44 +562,53 @@ int cmd_client(const Args& args) {
   }
   if (job_flags == 1) {
     serve::ClientJob job;
-    job.submit = args.has("submit");
+    serve::JobRequest& request = job.request;
     job.follow = args.has("follow");
-    if (job.follow && !job.submit) {
+    if (job.follow && !args.has("submit")) {
       throw UsageError("'--follow' needs --submit (use --watch JOB instead)");
     }
-    if (watch_id) job.watch = *watch_id;
-    if (status_id) job.status = *status_id;
-    if (cancel_id) job.cancel = *cancel_id;
-    job.list = args.has("job-list");
-    if (job.submit) {
+    if (args.has("submit")) {
+      request.op = serve::JobOp::Submit;
+      jobs::JobSpec& spec = request.spec;
       const auto suite = args.get("suite");
       const auto csv = args.get("csv");
       if ((suite ? 1 : 0) + (csv ? 1 : 0) != 1) {
         throw UsageError("'--submit' needs exactly one of --suite or --csv");
       }
       if (suite) {
-        job.suite = *suite;
+        spec.builtin = *suite;
         if (const auto n = args.get("instructions")) {
-          job.instructions = parse_u64(*n, "instructions");
+          spec.instructions = parse_u64(*n, "instructions");
         }
       } else {
-        job.name = *csv;
-        job.csv_text = read_file(*csv);
+        spec.csv_name = *csv;
+        spec.csv_text = read_file(*csv);
         if (const auto series = args.get("series")) {
-          job.series_text = read_file(*series);
+          spec.series_text = read_file(*series);
         }
       }
-      job.events = args.get("events").value_or("all");
-      job.size = parse_u64(args.get("size").value_or("8"), "size");
-      job.candidates =
+      spec.events = args.get("events").value_or("all");
+      spec.target_size = parse_u64(args.get("size").value_or("8"), "size");
+      spec.candidates =
           parse_u64(args.get("candidates").value_or("64"), "candidates");
-      if (job.candidates == 0) {
+      if (spec.candidates == 0) {
         throw UsageError("option '--candidates' must be >= 1");
       }
       if (const auto seed = args.get("seed")) {
-        job.seed = parse_u64(*seed, "seed");
+        spec.seed = parse_u64(*seed, "seed");
       }
-      job.client = args.get("client").value_or("");
+      spec.client = args.get("client").value_or("");
+    } else if (watch_id) {
+      request.op = serve::JobOp::Watch;
+      request.job = *watch_id;
+    } else if (status_id) {
+      request.op = serve::JobOp::Status;
+      request.job = *status_id;
+    } else if (cancel_id) {
+      request.op = serve::JobOp::Cancel;
+      request.job = *cancel_id;
+    } else {
+      request.op = serve::JobOp::List;
     }
     if (const auto n = args.get("watch-interval-ms")) {
       job.watch_interval_ms = parse_u64(*n, "watch-interval-ms");
@@ -741,14 +637,17 @@ int cmd_client(const Args& args) {
   const auto csv = args.get("csv");
   const auto input = args.get("input");
   const auto series = args.get("series");
+  std::uint64_t deadline_ms = 0;
+  if (const auto n = args.get("deadline-ms")) {
+    deadline_ms = parse_u64(*n, "deadline-ms");
+  }
   if (mutate_flags == 1) {
-    serve::ClientMutate mutate;
+    serve::MutateRequest mutate;
     mutate.events = args.get("events").value_or("all");
-    if (const auto n = args.get("deadline-ms")) {
-      mutate.deadline_ms = parse_u64(*n, "deadline-ms");
-    }
+    mutate.deadline_ms = deadline_ms;
     if (load_suite || add_workload) {
-      mutate.op = load_suite ? "load_suite" : "add_workload";
+      mutate.op = load_suite ? serve::MutateOp::LoadSuite
+                             : serve::MutateOp::AddWorkload;
       mutate.suite = load_suite ? *load_suite : *add_workload;
       if (!csv) {
         throw UsageError("'--" + std::string(load_suite ? "load-suite"
@@ -758,7 +657,7 @@ int cmd_client(const Args& args) {
       mutate.csv_text = read_file(*csv);
       if (series) mutate.series_text = read_file(*series);
     } else if (drop_workload) {
-      mutate.op = "drop_workload";
+      mutate.op = serve::MutateOp::DropWorkload;
       mutate.suite = *drop_workload;
       const auto victim = args.get("workload");
       if (!victim) {
@@ -766,7 +665,7 @@ int cmd_client(const Args& args) {
       }
       mutate.workload = *victim;
     } else {
-      mutate.op = "append_samples";
+      mutate.op = serve::MutateOp::AppendSamples;
       mutate.suite = *append_samples;
       if (!series) {
         throw UsageError("'--append-samples' needs --series <payload>");
@@ -785,7 +684,7 @@ int cmd_client(const Args& args) {
     throw UsageError("--suite, --csv and --input are mutually exclusive");
   }
   if (suite || csv_scores || input) {
-    serve::ClientScore score;
+    serve::ScoreRequest score;
     if (suite) {
       score.builtin = *suite;
       if (const auto n = args.get("instructions")) {
@@ -795,19 +694,17 @@ int cmd_client(const Args& args) {
       // Parse the file client-side, then forward the parsed matrix as
       // lossless (%.17g) CSV — byte-identical scoring to --csv, without
       // the server re-validating a giant raw payload.
-      score.name = *input;
+      score.csv_name = *input;
       score.csv_text = core::write_aggregates_csv_text(
           core::read_aggregates_csv(*input, *input));
     } else {
-      score.name = *csv;
+      score.csv_name = *csv;
       score.csv_text = read_file(*csv);
       if (series) score.series_text = read_file(*series);
     }
     score.events = args.get("events").value_or("all");
-    if (const auto n = args.get("deadline-ms")) {
-      score.deadline_ms = parse_u64(*n, "deadline-ms");
-    }
-    run.score = score;
+    score.deadline_ms = deadline_ms;
+    run.score = std::move(score);
     run.repeat = parse_u64(args.get("repeat").value_or("1"), "repeat");
     if (run.repeat == 0) throw UsageError("option '--repeat' must be >= 1");
   }
@@ -872,6 +769,164 @@ void emit_observability(const Args& args) {
   }
 }
 
+/// Every command: its usage text next to the options it accepts.
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"suites",
+       "usage: perspector suites\n"
+       "  List the built-in suite models available to demo/serve.\n",
+       {},
+       cmd_suites},
+      {"demo",
+       "usage: perspector demo [--suite <name>] [--instructions N]\n"
+       "  Simulate a built-in suite (default: nbench, 500000 instructions\n"
+       "  per workload) and print its full scoring report.\n",
+       {"suite", "instructions"},
+       cmd_demo},
+      {"score",
+       "usage: perspector score --csv <agg.csv> [--series <ser.csv>]\n"
+       "                        [--events all|llc|tlb|branch]\n"
+       "  Score one suite from CSV counter data. The aggregate file is\n"
+       "  'workload,<counter>,...'; the optional series file is the long\n"
+       "  'workload,counter,sample,value' format (enables TrendScore).\n",
+       {"csv", "series", "events"},
+       cmd_score},
+      {"compare",
+       "usage: perspector compare --csv <a.csv> --csv <b.csv> ...\n"
+       "                          [--events all|llc|tlb|branch]\n"
+       "  Score several suites together (joint normalization) and rank\n"
+       "  them by overall grade.\n",
+       {"csv", "events"},
+       cmd_compare},
+      {"subset",
+       "usage: perspector subset --csv <agg.csv> --size K\n"
+       "                         [--method lhs|random|prior] [--seed S]\n"
+       "       perspector subset --search scored --size K\n"
+       "                         (--suite <name> [--instructions N]\n"
+       "                          | --csv <agg.csv> [--series <ser.csv>])\n"
+       "                         [--candidates N] [--seed S]\n"
+       "                         [--events all|llc|tlb|branch]\n"
+       "  Select a representative K-workload subset and report the mean\n"
+       "  score deviation against the full suite.\n"
+       "  --search scored runs the async-job candidate search (the same\n"
+       "  code path 'serve' jobs execute) synchronously and prints the\n"
+       "  reference result:\n"
+       "      subset: <name> <name> ...\n"
+       "      deviation_pct: <value>\n"
+       "  byte-identical to what 'client --submit --follow' prints for\n"
+       "  the same spec, so scripts can diff served against one-shot.\n"
+       "  --candidates N   LHS candidates to evaluate (default 64)\n",
+       {"csv", "series", "size", "method", "seed", "search", "suite",
+        "instructions", "candidates", "events"},
+       cmd_subset},
+      {"ingest",
+       "usage: perspector ingest --csv <agg.csv>\n"
+       "  Parse an aggregates CSV through the CSV reader and print the\n"
+       "  parsed shape and throughput. Files longer than one 1 MiB chunk\n"
+       "  are read on an IO thread overlapped with parsing.\n",
+       {"csv"},
+       cmd_ingest},
+      {"serve",
+       "usage: perspector serve [--port N | --stdio] [--threads N]\n"
+       "                        [--cache-mb N] [--max-queue N]\n"
+       "                        [--max-batch N] [--deadline-ms N]\n"
+       "                        [--workers N] [--cache-dir PATH]\n"
+       "  Run the resident scoring service. Default transport is loopback\n"
+       "  TCP (--port 0 picks a free port and prints it); --stdio speaks\n"
+       "  the same newline-delimited-JSON protocol over stdin/stdout.\n"
+       "  --cache-mb N      result-cache budget in MiB (default 64; 0 off)\n"
+       "  --max-queue N     admission queue depth (default 64); overflow\n"
+       "                    is answered with a structured 'overloaded' error\n"
+       "  --max-batch N     max score requests per engine pass (default 16)\n"
+       "  --deadline-ms N   default queue-wait deadline (default 0 = none)\n"
+       "  --slow-ms N       warn-log requests slower than N ms (default 0\n"
+       "                    = off; needs --log-level warn or higher)\n"
+       "  --workers N       fork N single-threaded worker processes and\n"
+       "                    shard requests across them by content digest\n"
+       "                    (default 0 = score in-process); crashed\n"
+       "                    workers are restarted, responses are\n"
+       "                    byte-identical at any worker count\n"
+       "  --cache-dir PATH  disk-backed result store (survives restarts;\n"
+       "                    one live process per directory)\n"
+       "  --store-mb N      on-disk budget for --cache-dir (default 256)\n"
+       "  Async jobs (generate_submit/job_status/job_watch/job_cancel/\n"
+       "  job_list ops; see README 'Async jobs'):\n"
+       "  --jobs-dir PATH   per-job checkpoint logs; a restarted worker\n"
+       "                    resumes its jobs from here (empty = jobs run\n"
+       "                    without checkpoints and cannot resume)\n"
+       "  --job-queue N     max active (queued+running) jobs before\n"
+       "                    submits get a structured 'overloaded' error\n"
+       "                    (default 256)\n"
+       "  --jobs-per-client N  fair-share cap on active jobs per client\n"
+       "                    bucket (default 64)\n"
+       "  --checkpoint-every N  candidates between checkpoints (default\n"
+       "                    16; 0 = checkpoint only at terminal states)\n"
+       "  SIGTERM (or EOF in --stdio mode) drains admitted requests and\n"
+       "  exits 0. Add --metrics to print the serve.* counters on exit.\n",
+       {"port", "stdio", "cache-mb", "max-queue", "max-batch", "deadline-ms",
+        "slow-ms", "workers", "cache-dir", "store-mb", "jobs-dir",
+        "job-queue", "jobs-per-client", "checkpoint-every"},
+       cmd_serve},
+      {"client",
+       "usage: perspector client --port N [--host H]\n"
+       "                         (--suite <name> [--instructions N]\n"
+       "                          | --csv <file> [--series <file>]\n"
+       "                          | --input <file>)\n"
+       "                         [--load-suite NAME | --add-workload NAME\n"
+       "                          | --drop-workload NAME --workload W\n"
+       "                          | --append-samples NAME]\n"
+       "                         [--events all|llc|tlb|branch]\n"
+       "                         [--repeat K] [--deadline-ms N]\n"
+       "                         [--submit [--follow] [--size K]\n"
+       "                          [--candidates N] [--seed S]\n"
+       "                          [--client NAME]\n"
+       "                          | --watch JOB | --job-status JOB\n"
+       "                          | --job-cancel JOB | --job-list]\n"
+       "                         [--watch-interval-ms N]\n"
+       "                         [--ping] [--metrics] [--stats]\n"
+       "                         [--shard-stats] [--shutdown]\n"
+       "  Scripted client for 'perspector serve'. Pipelines K copies of\n"
+       "  the score request (default 1), prints each report to stdout\n"
+       "  (byte-identical to the one-shot command), and cache/error\n"
+       "  status (with each response's trace id) to stderr.\n"
+       "  --input <file> parses the CSV client-side and sends the\n"
+       "  parsed matrix as a lossless inline request (large files\n"
+       "  never buffer twice as raw text).\n"
+       "  Live-suite mutation flags send one mutate request before any\n"
+       "  scores: --load-suite/--add-workload take their payload from\n"
+       "  --csv/--series, --append-samples from --series, and\n"
+       "  --drop-workload names the victim via --workload. A later\n"
+       "  '--suite NAME' score resolves the resident suite by name.\n"
+       "  --metrics appends a server-counter request, --stats a\n"
+       "  latency-histogram request (p50/p90/p99/p99.9), --shard-stats\n"
+       "  a worker-topology request ('worker.N.pid P' lines; router\n"
+       "  tier), --shutdown asks the server to exit after responding.\n"
+       "  Async-job flags switch to a lockstep conversation (one request,\n"
+       "  one response): --submit sends a generate_submit built from\n"
+       "  --suite/--csv plus --size/--candidates/--seed/--client and\n"
+       "  prints 'job: <id>'; --follow then polls job_watch every\n"
+       "  --watch-interval-ms (default 100) until the job finishes,\n"
+       "  streaming progress to stderr and printing the final\n"
+       "  'subset:'/'deviation_pct:' lines (byte-identical to\n"
+       "  'subset --search scored'). --watch JOB resumes watching an\n"
+       "  existing job; --job-status/--job-cancel/--job-list print one\n"
+       "  status line per job.\n"
+       "  Exits 0 when every response was ok, 3 otherwise.\n",
+       {"host", "port", "suite", "instructions", "csv", "series", "input",
+        "load-suite", "add-workload", "drop-workload", "workload",
+        "append-samples", "events", "repeat", "deadline-ms", "submit",
+        "follow", "size", "candidates", "seed", "client", "watch",
+        "job-status", "job-cancel", "job-list", "watch-interval-ms", "ping",
+        "stats", "shard-stats", "shutdown"},
+       cmd_client},
+      {"help",
+       "usage: perspector help [<command>]\n",
+       {},
+       nullptr},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -885,13 +940,18 @@ int main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0 ||
         std::strcmp(argv[i], "-h") == 0) {
-      const std::string text = command_usage_text(command);
-      std::cout << (text.empty() ? general_usage_text() : text.c_str());
+      const Command* known = find_command(command);
+      std::cout << (known ? known->usage.c_str() : general_usage_text());
       return 0;
     }
   }
+  const Command* known = find_command(command);
+  if (known == nullptr) {
+    std::cerr << "unknown command '" << command << "'\n";
+    return usage();
+  }
   try {
-    const Args args = parse_args(argc, argv);
+    const Args args = parse_args(argc, argv, *known);
     if (args.has("trace") || args.has("metrics")) {
       obs::Tracer::instance().enable();
     }
@@ -922,27 +982,7 @@ int main(int argc, char** argv) {
       par::set_thread_count(static_cast<std::size_t>(n));
     }
 
-    int rc;
-    if (command == "suites") {
-      rc = cmd_suites();
-    } else if (command == "demo") {
-      rc = cmd_demo(args);
-    } else if (command == "score") {
-      rc = cmd_score(args);
-    } else if (command == "compare") {
-      rc = cmd_compare(args);
-    } else if (command == "subset") {
-      rc = cmd_subset(args);
-    } else if (command == "ingest") {
-      rc = cmd_ingest(args);
-    } else if (command == "serve") {
-      rc = cmd_serve(args);
-    } else if (command == "client") {
-      rc = cmd_client(args);
-    } else {
-      std::cerr << "unknown command '" << command << "'\n";
-      return usage();
-    }
+    const int rc = known->run(args);
     if (rc == 0 || command == "client") emit_observability(args);
     return rc;
   } catch (const UsageError& e) {
