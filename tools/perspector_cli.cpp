@@ -561,6 +561,23 @@ int cmd_client(const Args& args) {
         "mutually exclusive");
   }
   if (job_flags == 1) {
+    // Job mode sends the one job request and nothing else, so a flag that
+    // asks for another request (or a score option, which only --submit
+    // reads as its payload) is a usage error rather than dropped.
+    std::vector<std::string> other = {
+        "ping", "metrics", "stats", "shard-stats", "load-suite",
+        "add-workload", "drop-workload", "append-samples", "workload",
+        "input", "repeat", "deadline-ms"};
+    if (!args.has("submit")) {
+      other.insert(other.end(), {"suite", "csv", "series", "instructions",
+                                 "events", "size", "candidates", "seed",
+                                 "client"});
+    }
+    for (const std::string& flag : other) {
+      if (args.has(flag)) {
+        throw UsageError("'--" + flag + "' cannot be combined with a job flag");
+      }
+    }
     serve::ClientJob job;
     serve::JobRequest& request = job.request;
     job.follow = args.has("follow");
