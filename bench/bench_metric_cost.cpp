@@ -5,7 +5,7 @@
 //
 // Two extra modes beyond the google-benchmark sweep:
 //   --kernels [out.json]  before/after timing of the hot-kernel rewrite
-//                         (full-table vs rolling DTW, per-k vs hoisted
+//                         (full-table vs batched DTW, per-k vs hoisted
 //                         silhouette distances, direct vs cached subset
 //                         re-scoring), written as machine-readable JSON
 //                         (default results/bench_kernels.json);
@@ -114,6 +114,26 @@ void BM_DtwBanded(benchmark::State& state) {
 }
 BENCHMARK(BM_DtwBanded)->Arg(100)->Arg(400);
 
+// One full batch of the batched kernel: kBatchLanes pairs of 101-point
+// series (the default trend grid), one SIMD lane per pair. Compare with
+// kBatchLanes x BM_DtwDistance/100 for the per-pair cost.
+void BM_DtwBatch(benchmark::State& state) {
+  std::vector<std::vector<double>> series;
+  for (std::size_t s = 0; s <= dtw::kBatchLanes; ++s) {
+    series.push_back(random_series(101, 20 + s));
+  }
+  std::vector<dtw::SeriesPair> pairs;
+  for (std::size_t p = 0; p < dtw::kBatchLanes; ++p) {
+    pairs.push_back({series[p], series[p + 1]});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dtw::dtw_distances(pairs));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(pairs.size()));
+}
+BENCHMARK(BM_DtwBatch);
+
 void BM_TrendNormalize(benchmark::State& state) {
   const auto series = random_series(static_cast<std::size_t>(state.range(0)), 8);
   for (auto _ : state) {
@@ -194,7 +214,7 @@ core::CounterMatrix kernel_suite(std::size_t workloads, std::size_t counters,
 
 // The pre-rewrite TrendScore: identical structure to core::trend_score but
 // every pair runs the full-table dtw_with_path kernel — the code path
-// dtw_distance used before the rolling rewrite.
+// distance-only DTW used before the rolling and batched kernels.
 double trend_score_full_table(const core::CounterMatrix& suite,
                               const core::TrendScoreOptions& options) {
   dtw::DtwOptions dtw_options;
@@ -243,7 +263,7 @@ int run_kernels(const std::string& out_path) {
     const core::CounterMatrix suite = kernel_suite(n, counters, series_length);
     std::cerr << "kernel sweep: n=" << n << "\n";
 
-    // TrendScore: full-table kernel vs rolling kernel vs cache lookup.
+    // TrendScore: full-table kernel vs batched kernel vs cache lookup.
     const double trend_full = time_us(
         [&] { benchmark::DoNotOptimize(trend_score_full_table(suite, trend_options)); },
         1);
@@ -364,7 +384,7 @@ int run_smoke() {
     ++failures;
   }
   if (dtw_calls.value() == calls_before) {
-    std::cerr << "SMOKE FAIL: scoring made no dtw_distance calls\n";
+    std::cerr << "SMOKE FAIL: scoring made no DTW calls (dtw.calls)\n";
     ++failures;
   }
   if (full_calls.value() != full_before) {

@@ -64,28 +64,31 @@ void ScoringWorkspace::prime_trend(const CounterMatrix& suite,
                                options.normalization);
     });
 
-    // Full pairwise DTW matrices, flattened over (counter, pair) so the
-    // whole prime is one parallel region; task t writes only its own (i,j)
-    // and (j,i) of its own counter matrix.
+    // Full pairwise DTW matrices: every counter's (i < j) pairs, in
+    // (counter, i, j) order, run as one batched region; each distance
+    // lands in its own slot and is scattered serially.
     dtw::DtwOptions dtw_options;
     dtw_options.band_fraction = options.dtw_band_fraction;
-    const std::size_t pairs = n * (n - 1) / 2;
-    std::vector<std::pair<std::size_t, std::size_t>> index;
-    index.reserve(pairs);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) index.emplace_back(i, j);
+    std::vector<dtw::SeriesPair> pairs;
+    pairs.reserve(m * n * (n - 1) / 2);
+    for (std::size_t c = 0; c < m; ++c) {
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+          pairs.push_back({trends_[i * m + c], trends_[j * m + c]});
+        }
+      }
     }
+    const std::vector<double> dist = dtw::dtw_distances(pairs, dtw_options);
     per_counter_.assign(m, la::Matrix(n, n, 0.0));
-    par::parallel_for(m * pairs, [&](std::size_t t) {
-      const std::size_t c = t / pairs;
-      const auto [i, j] = index[t % pairs];
-      const double dist =
-          dtw::dtw_distance(trends_[i * m + c], trends_[j * m + c],
-                            dtw_options)
-              .distance;
-      per_counter_[c](i, j) = dist;
-      per_counter_[c](j, i) = dist;
-    });
+    std::size_t p = 0;
+    for (std::size_t c = 0; c < m; ++c) {
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j, ++p) {
+          per_counter_[c](i, j) = dist[p];
+          per_counter_[c](j, i) = dist[p];
+        }
+      }
+    }
     primes.increment();
   }
 
@@ -144,18 +147,23 @@ bool ScoringWorkspace::upsert_row(const CounterMatrix& suite, std::size_t row,
   }
 
   // One DTW strip — the row against every other live row, all counters —
-  // as a single parallel region; task t writes only its own (j, r)/(r, j).
+  // as one batched region, scattered to (j, r)/(r, j) afterwards.
   dtw::DtwOptions dtw_options;
   dtw_options.band_fraction = options_.dtw_band_fraction;
-  const std::size_t k = live.size();
-  par::parallel_for(m * k, [&](std::size_t t) {
-    const std::size_t c = t / k;
-    const std::size_t j = live[t % k];
-    const double dist =
-        dtw::dtw_distance(trends_[j * m + c], fresh[c], dtw_options).distance;
-    per_counter_[c](j, r) = dist;
-    per_counter_[c](r, j) = dist;
-  });
+  std::vector<dtw::SeriesPair> pairs;
+  pairs.reserve(m * live.size());
+  for (std::size_t c = 0; c < m; ++c) {
+    for (std::size_t j : live) pairs.push_back({trends_[j * m + c], fresh[c]});
+  }
+  const std::vector<double> dist = dtw::dtw_distances(pairs, dtw_options);
+  std::size_t p = 0;
+  for (std::size_t c = 0; c < m; ++c) {
+    for (std::size_t j : live) {
+      per_counter_[c](j, r) = dist[p];
+      per_counter_[c](r, j) = dist[p];
+      ++p;
+    }
+  }
 
   for (std::size_t c = 0; c < m; ++c) trends_[r * m + c] = std::move(fresh[c]);
   row_by_name_.insert_or_assign(name, r);

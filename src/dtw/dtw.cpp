@@ -10,15 +10,11 @@
 #include "obs/trace.hpp"
 #include "par/parallel.hpp"
 
-#if defined(__SSE2__) || defined(_M_X64)
-#include <emmintrin.h>
-#define PERSPECTOR_DTW_SSE2 1
-#endif
-
-// AVX2 variant is compiled with a per-function target attribute and selected
-// at runtime, so the translation unit itself never needs -mavx2 (a global
-// flag would license FMA contraction elsewhere and change bits).
-#if defined(PERSPECTOR_DTW_SSE2) && defined(__GNUC__) && defined(__x86_64__)
+// The batched kernel's AVX2 body is compiled with a per-function target
+// attribute and selected at runtime, so the translation unit itself never
+// needs -mavx2 (a global flag would license FMA contraction elsewhere and
+// change bits).
+#if defined(__GNUC__) && defined(__x86_64__)
 #include <immintrin.h>
 #define PERSPECTOR_DTW_AVX2 1
 #endif
@@ -43,31 +39,29 @@ std::size_t band_width(std::size_t n, std::size_t m,
   return std::max(w, diff);
 }
 
+// In-band columns of row i (1-based): j in [j_lo, j_hi], |i - j| <= w.
+// band_width keeps w >= |n - m|, so the range is never empty.
+inline std::size_t row_lo(std::size_t i, std::size_t w) {
+  return i > w ? i - w : 1;
+}
+inline std::size_t row_hi(std::size_t i, std::size_t m, std::size_t w) {
+  return std::min(m, i + w);
+}
+
 // ---------------------------------------------------------------------------
-// Distance-only rolling kernel, anti-diagonal (wavefront) order.
+// One-pair kernel (dtw_distance), anti-diagonal (wavefront) order.
 //
-// A row-major rolling kernel is latency-bound: cost(i, j) reads cost(i, j-1),
-// so every cell waits a full FP-add-plus-select round trip on its left
-// neighbour. On the anti-diagonal d = i + j all predecessors live on
-// diagonals d-1 and d-2, so the cells of one diagonal are mutually
-// independent and the CPU overlaps (and vectorizes) them — throughput-bound
-// instead of latency-bound.
+// On the anti-diagonal d = i + j all predecessors live on diagonals d-1 and
+// d-2, so the cells of one diagonal are mutually independent and the CPU
+// overlaps them. Each cell evaluates the exact expression the full-table
+// kernel evaluates — local + min{up, left, diag} on the same doubles, only
+// in a different cell *order* — so the distance is bit-identical to
+// dtw_with_path. The path length replays the backtracker's tie-break
+// (diag, then up, then left) forward with the same comparisons, carried as
+// exact small integers in doubles. Only dtw_distance's path_length needs
+// this replay; every distance-only caller takes the batched kernel below.
 //
-// Each cell still evaluates the exact expression the full-table kernel
-// evaluates — local + min{up, left, diag} on the same doubles, only in a
-// different cell *order* — so the distance is bit-identical to
-// dtw_with_path. The path length replays the backtracker's tie-break (diag,
-// then up, then left) forward with the same comparisons, carried as exact
-// small integers in doubles so cost and length selects share one mask.
-//
-// Diagonal buffers are indexed by i; buffer_d[i] = cell (i, d - i). The
-// kernel body exists in scalar, SSE2 (x86-64 baseline, two cells per
-// iteration) and AVX2 (four cells, runtime-dispatched) variants. Every
-// vector lane op is the exact scalar IEEE op: cmple matches <=, blendv /
-// and-andnot-or implement mask ? x : y on all-ones masks, andnot(-0.0, x)
-// is std::abs. Explicit intrinsics, not ?: chains or GNU vector selects,
-// because the compiler rewrites both of those back into data-dependent
-// branches or cross-domain cmov traffic that costs more than the DP itself.
+// Diagonal buffers are indexed by i; buffer_d[i] = cell (i, d - i).
 // ---------------------------------------------------------------------------
 
 struct KernelOut {
@@ -98,172 +92,196 @@ inline void rotate3(double*& x2, double*& x1, double*& x0) {
 // both others, else up_best picks min(up, left) — so the cost matches
 // min{up, left, diag} bit for bit, and the length select rides the same
 // conditions.
-inline void scalar_cells(std::size_t i, std::size_t i_hi, std::size_t d,
-                         const double* a, const double* b, double* c0,
-                         const double* c1, const double* c2, double* l0,
-                         const double* l1, const double* l2) {
-  for (; i <= i_hi; ++i) {
-    const double local = std::abs(a[i - 1] - b[d - i - 1]);
-    const double up = c1[i - 1];    // cost(i-1, j)
-    const double left = c1[i];      // cost(i, j-1)
-    const double diag = c2[i - 1];  // cost(i-1, j-1)
-    const bool diag_best = (diag <= up) & (diag <= left);
-    const bool up_best = up <= left;
-    const double best = diag_best ? diag : (up_best ? up : left);
-    c0[i] = local + best;
-    l0[i] = 1.0 + (diag_best ? l2[i - 1] : (up_best ? l1[i - 1] : l1[i]));
-  }
-}
-
-#ifdef PERSPECTOR_DTW_SSE2
-// Two cells per iteration. j runs downward along a diagonal, so lane 0 is
-// b[d-i-1] and lane 1 the next cell's b[d-i-2].
-inline void sse2_pairs(std::size_t& i, std::size_t i_hi, std::size_t d,
-                       const double* a, const double* b, double* c0,
-                       const double* c1, const double* c2, double* l0,
-                       const double* l1, const double* l2) {
-  const __m128d sign_bit = _mm_set1_pd(-0.0);
-  const __m128d one = _mm_set1_pd(1.0);
-  for (; i + 1 <= i_hi; i += 2) {
-    const __m128d av = _mm_loadu_pd(&a[i - 1]);
-    const __m128d bv = _mm_set_pd(b[d - i - 2], b[d - i - 1]);
-    const __m128d up = _mm_loadu_pd(&c1[i - 1]);
-    const __m128d left = _mm_loadu_pd(&c1[i]);
-    const __m128d diag = _mm_loadu_pd(&c2[i - 1]);
-    const __m128d m_diag =
-        _mm_and_pd(_mm_cmple_pd(diag, up), _mm_cmple_pd(diag, left));
-    const __m128d m_up = _mm_cmple_pd(up, left);
-    const __m128d best_ul =
-        _mm_or_pd(_mm_and_pd(m_up, up), _mm_andnot_pd(m_up, left));
-    const __m128d best =
-        _mm_or_pd(_mm_and_pd(m_diag, diag), _mm_andnot_pd(m_diag, best_ul));
-    const __m128d local = _mm_andnot_pd(sign_bit, _mm_sub_pd(av, bv));
-    _mm_storeu_pd(&c0[i], _mm_add_pd(local, best));
-    const __m128d len_up = _mm_loadu_pd(&l1[i - 1]);
-    const __m128d len_left = _mm_loadu_pd(&l1[i]);
-    const __m128d len_diag = _mm_loadu_pd(&l2[i - 1]);
-    const __m128d len_ul =
-        _mm_or_pd(_mm_and_pd(m_up, len_up), _mm_andnot_pd(m_up, len_left));
-    const __m128d len = _mm_or_pd(_mm_and_pd(m_diag, len_diag),
-                                  _mm_andnot_pd(m_diag, len_ul));
-    _mm_storeu_pd(&l0[i], _mm_add_pd(one, len));
-  }
-}
-#endif
-
-using KernelFn = KernelOut (*)(const double* a, const double* b, std::size_t n,
-                               std::size_t m, std::size_t w, double* c2,
-                               double* c1, double* c0, double* l2, double* l1,
-                               double* l0);
-
-// The i-range shifts by at most one per diagonal, so later diagonals only
-// read a buffer inside [i_lo - 1, i_hi + 1]: two sentinel writes replace a
-// full-buffer infinity fill (the memory traffic a full table pays). They
-// also cover the i = 0 / j = 0 border cells.
-#define PERSPECTOR_DTW_DIAGONAL_PROLOGUE()            \
-  std::size_t i_lo, i_hi;                             \
-  diagonal_range(d, n, m, w, i_lo, i_hi);             \
-  c0[i_lo - 1] = kInf;                                \
-  if (i_hi + 1 <= n) c0[i_hi + 1] = kInf;             \
-  if (i_hi >= i_lo) cells += i_hi - i_lo + 1
-
-[[maybe_unused]] KernelOut dtw_kernel_scalar(const double* a, const double* b,
-                                             std::size_t n, std::size_t m,
-                                             std::size_t w, double* c2,
-                                             double* c1, double* c0,
-                                             double* l2, double* l1,
-                                             double* l0) {
+KernelOut diagonal_kernel(const double* a, const double* b, std::size_t n,
+                          std::size_t m, std::size_t w, double* c2, double* c1,
+                          double* c0, double* l2, double* l1, double* l0) {
   std::uint64_t cells = 0;
   for (std::size_t d = 2; d <= n + m; ++d) {
-    PERSPECTOR_DTW_DIAGONAL_PROLOGUE();
-    scalar_cells(i_lo, i_hi, d, a, b, c0, c1, c2, l0, l1, l2);
-    rotate3(c2, c1, c0);
-    rotate3(l2, l1, l0);
-  }
-  return {c1[n], l1[n], cells};
-}
-
-#ifdef PERSPECTOR_DTW_SSE2
-[[maybe_unused]] KernelOut dtw_kernel_sse2(const double* a, const double* b,
-                                           std::size_t n, std::size_t m,
-                                           std::size_t w, double* c2,
-                                           double* c1, double* c0, double* l2,
-                                           double* l1, double* l0) {
-  std::uint64_t cells = 0;
-  for (std::size_t d = 2; d <= n + m; ++d) {
-    PERSPECTOR_DTW_DIAGONAL_PROLOGUE();
-    std::size_t i = i_lo;
-    sse2_pairs(i, i_hi, d, a, b, c0, c1, c2, l0, l1, l2);
-    scalar_cells(i, i_hi, d, a, b, c0, c1, c2, l0, l1, l2);
-    rotate3(c2, c1, c0);
-    rotate3(l2, l1, l0);
-  }
-  return {c1[n], l1[n], cells};
-}
-#endif
-
-#ifdef PERSPECTOR_DTW_AVX2
-// Four cells per iteration. The SSE2 two-lane loop and the scalar loop mop
-// up the tail; inlined here they get VEX-encoded, which changes encodings
-// but not results.
-__attribute__((target("avx2"))) KernelOut dtw_kernel_avx2(
-    const double* a, const double* b, std::size_t n, std::size_t m,
-    std::size_t w, double* c2, double* c1, double* c0, double* l2, double* l1,
-    double* l0) {
-  std::uint64_t cells = 0;
-  const __m256d sign_bit = _mm256_set1_pd(-0.0);
-  const __m256d one = _mm256_set1_pd(1.0);
-  for (std::size_t d = 2; d <= n + m; ++d) {
-    PERSPECTOR_DTW_DIAGONAL_PROLOGUE();
-    std::size_t i = i_lo;
-    for (; i + 3 <= i_hi; i += 4) {
-      const __m256d av = _mm256_loadu_pd(&a[i - 1]);
-      // Lane k needs b[d-i-1-k]: load the four contiguous doubles ending at
-      // b[d-i-1] and reverse them. d - i - 4 >= 0 because lane 3 has j >= 1.
-      const __m256d brev = _mm256_loadu_pd(&b[d - i - 4]);
-      const __m256d bv = _mm256_permute4x64_pd(brev, 0x1B);  // reverse lanes
-      const __m256d up = _mm256_loadu_pd(&c1[i - 1]);
-      const __m256d left = _mm256_loadu_pd(&c1[i]);
-      const __m256d diag = _mm256_loadu_pd(&c2[i - 1]);
-      const __m256d m_diag =
-          _mm256_and_pd(_mm256_cmp_pd(diag, up, _CMP_LE_OQ),
-                        _mm256_cmp_pd(diag, left, _CMP_LE_OQ));
-      const __m256d m_up = _mm256_cmp_pd(up, left, _CMP_LE_OQ);
-      // blendv selects on the lane sign bit; compare masks are all-ones or
-      // all-zeros, so this is the same mask ? x : y as the SSE2 and/or form.
-      const __m256d best = _mm256_blendv_pd(_mm256_blendv_pd(left, up, m_up),
-                                            diag, m_diag);
-      const __m256d local =
-          _mm256_andnot_pd(sign_bit, _mm256_sub_pd(av, bv));
-      _mm256_storeu_pd(&c0[i], _mm256_add_pd(local, best));
-      const __m256d len_up = _mm256_loadu_pd(&l1[i - 1]);
-      const __m256d len_left = _mm256_loadu_pd(&l1[i]);
-      const __m256d len_diag = _mm256_loadu_pd(&l2[i - 1]);
-      const __m256d len = _mm256_blendv_pd(
-          _mm256_blendv_pd(len_left, len_up, m_up), len_diag, m_diag);
-      _mm256_storeu_pd(&l0[i], _mm256_add_pd(one, len));
+    std::size_t i_lo, i_hi;
+    diagonal_range(d, n, m, w, i_lo, i_hi);
+    // The i-range shifts by at most one per diagonal, so later diagonals
+    // only read a buffer inside [i_lo - 1, i_hi + 1]: two sentinel writes
+    // replace a full-buffer infinity fill. They also cover the i = 0 /
+    // j = 0 border cells.
+    c0[i_lo - 1] = kInf;
+    if (i_hi + 1 <= n) c0[i_hi + 1] = kInf;
+    if (i_hi >= i_lo) cells += i_hi - i_lo + 1;
+    for (std::size_t i = i_lo; i <= i_hi; ++i) {
+      const double local = std::abs(a[i - 1] - b[d - i - 1]);
+      const double up = c1[i - 1];    // cost(i-1, j)
+      const double left = c1[i];      // cost(i, j-1)
+      const double diag = c2[i - 1];  // cost(i-1, j-1)
+      const bool diag_best = (diag <= up) & (diag <= left);
+      const bool up_best = up <= left;
+      const double best = diag_best ? diag : (up_best ? up : left);
+      c0[i] = local + best;
+      l0[i] = 1.0 + (diag_best ? l2[i - 1] : (up_best ? l1[i - 1] : l1[i]));
     }
-    sse2_pairs(i, i_hi, d, a, b, c0, c1, c2, l0, l1, l2);
-    scalar_cells(i, i_hi, d, a, b, c0, c1, c2, l0, l1, l2);
     rotate3(c2, c1, c0);
     rotate3(l2, l1, l0);
   }
   return {c1[n], l1[n], cells};
 }
-#endif
 
-KernelFn pick_kernel() {
-#ifdef PERSPECTOR_DTW_AVX2
-  if (__builtin_cpu_supports("avx2")) return dtw_kernel_avx2;
-#endif
-#ifdef PERSPECTOR_DTW_SSE2
-  return dtw_kernel_sse2;
-#else
-  return dtw_kernel_scalar;
-#endif
+// ---------------------------------------------------------------------------
+// Batched kernel (dtw_distances): one SIMD lane per pair.
+//
+// A batch holds up to kBatchLanes pairs of one shape (n, m, band w). Both
+// series are transposed lane-major — a[i * L + lane] — so lane `lane` of
+// every vector op belongs to one pair, and the batch runs the plain
+// row-major rolling DP once for all lanes. Row-major order is latency-bound
+// for one pair (cost(i, j) waits on cost(i, j-1)); with L independent lanes
+// in 4-wide vectors the chains overlap instead. Padding lanes of a short
+// batch repeat the last pair and are never read back.
+//
+// Each cell does the full table's IEEE ops on the same doubles:
+// |a_i - b_j| + min{up, left, diag}. The minimum is taken as
+// min(left, min(up, diag)), which keeps `left` (the loop-carried value)
+// one op from the add; the order does not change bits, because a minimum
+// of finite non-negative doubles, +inf included, is the same double
+// whichever operand a tie picks: costs start at +0.0 and only add |x|, so
+// no -0.0 arises, and finite inputs (core/io.cpp rejects non-finite cells)
+// never make a NaN.
+//
+// Rows roll in two buffers of (m + 1) * L doubles. Row i writes columns
+// [j_lo - 1, j_hi + 1] (two sentinel infinities around the band); row i + 1
+// reads only [j_lo(i+1) - 1, j_hi(i+1)], inside that range, so nothing
+// stale is read.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t L = kBatchLanes;
+
+using BatchKernel = void (*)(const double* a, const double* b, std::size_t n,
+                             std::size_t m, std::size_t w, double* prev,
+                             double* cur, double* out);
+
+// Row 0: cost(0, 0) = 0, cost(0, j > 0) = inf.
+inline void first_row(std::size_t m, double* prev) {
+  std::fill(prev, prev + L, 0.0);
+  std::fill(prev + L, prev + (m + 1) * L, kInf);
 }
 
-#undef PERSPECTOR_DTW_DIAGONAL_PROLOGUE
+void batch_kernel_scalar(const double* a, const double* b, std::size_t n,
+                         std::size_t m, std::size_t w, double* prev,
+                         double* cur, double* out) {
+  first_row(m, prev);
+  for (std::size_t i = 1; i <= n; ++i) {
+    const std::size_t j_lo = row_lo(i, w);
+    const std::size_t j_hi = row_hi(i, m, w);
+    const double* ai = a + (i - 1) * L;
+    std::fill(cur + (j_lo - 1) * L, cur + j_lo * L, kInf);
+    for (std::size_t j = j_lo; j <= j_hi; ++j) {
+      const double* bj = b + (j - 1) * L;
+      const double* up = prev + j * L;
+      const double* diag = prev + (j - 1) * L;
+      const double* left = cur + (j - 1) * L;
+      double* c = cur + j * L;
+      for (std::size_t l = 0; l < L; ++l) {
+        c[l] = std::abs(ai[l] - bj[l]) +
+               std::min(left[l], std::min(up[l], diag[l]));
+      }
+    }
+    if (j_hi < m) std::fill(cur + (j_hi + 1) * L, cur + (j_hi + 2) * L, kInf);
+    std::swap(prev, cur);
+  }
+  std::copy(prev + m * L, prev + (m + 1) * L, out);
+}
+
+#ifdef PERSPECTOR_DTW_AVX2
+// Sixteen lanes as four independent 4-wide chains per cell, enough to
+// cover the add + min latency of the loop-carried `left`. Plain arrays of
+// __m256d, fully unrolled: a template over the vector type would trip
+// -Wignored-attributes. Every lane op is the scalar kernel's IEEE op:
+// andnot(-0.0, x) is std::abs, min_pd a minimum (see above for ties).
+static_assert(L == 16, "the AVX2 body runs four 4-lane groups");
+
+__attribute__((target("avx2"))) void batch_kernel_avx2(
+    const double* a, const double* b, std::size_t n, std::size_t m,
+    std::size_t w, double* prev, double* cur, double* out) {
+  const __m256d sign_bit = _mm256_set1_pd(-0.0);
+  const __m256d inf = _mm256_set1_pd(kInf);
+  first_row(m, prev);
+  for (std::size_t i = 1; i <= n; ++i) {
+    const std::size_t j_lo = row_lo(i, w);
+    const std::size_t j_hi = row_hi(i, m, w);
+    const double* ai = a + (i - 1) * L;
+    __m256d av[4], left[4], diag[4];
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < 4; ++g) {
+      av[g] = _mm256_loadu_pd(ai + 4 * g);
+      left[g] = inf;
+      _mm256_storeu_pd(cur + (j_lo - 1) * L + 4 * g, inf);
+      diag[g] = _mm256_loadu_pd(prev + (j_lo - 1) * L + 4 * g);
+    }
+    for (std::size_t j = j_lo; j <= j_hi; ++j) {
+      const double* bj = b + (j - 1) * L;
+      const double* up_row = prev + j * L;
+      double* c = cur + j * L;
+#pragma GCC unroll 4
+      for (std::size_t g = 0; g < 4; ++g) {
+        const __m256d up = _mm256_loadu_pd(up_row + 4 * g);
+        const __m256d local = _mm256_andnot_pd(
+            sign_bit, _mm256_sub_pd(av[g], _mm256_loadu_pd(bj + 4 * g)));
+        left[g] = _mm256_add_pd(
+            local, _mm256_min_pd(left[g], _mm256_min_pd(up, diag[g])));
+        _mm256_storeu_pd(c + 4 * g, left[g]);
+        diag[g] = up;
+      }
+    }
+    if (j_hi < m) {
+#pragma GCC unroll 4
+      for (std::size_t g = 0; g < 4; ++g) {
+        _mm256_storeu_pd(cur + (j_hi + 1) * L + 4 * g, inf);
+      }
+    }
+    std::swap(prev, cur);
+  }
+  std::copy(prev + m * L, prev + (m + 1) * L, out);
+}
+#endif
+
+BatchKernel pick_batch_kernel() {
+#ifdef PERSPECTOR_DTW_AVX2
+  if (__builtin_cpu_supports("avx2")) return batch_kernel_avx2;
+#endif
+  return batch_kernel_scalar;
+}
+
+// Runs one batch (1..L pairs of one shape) through `kernel`.
+void run_batch(std::span<const SeriesPair> batch, const DtwOptions& options,
+               double* out, BatchKernel kernel) {
+  const std::size_t n = batch.front().a.size();
+  const std::size_t m = batch.front().b.size();
+  if (n == 0 || m == 0) throw std::invalid_argument("dtw: empty series");
+  const std::size_t w = band_width(n, m, options);
+
+  mem::Scratch<double> a_lanes(n * L), b_lanes(m * L);
+  mem::Scratch<double> row_0((m + 1) * L), row_1((m + 1) * L);
+  for (std::size_t l = 0; l < L; ++l) {
+    const SeriesPair& pair = batch[std::min(l, batch.size() - 1)];
+    for (std::size_t i = 0; i < n; ++i) a_lanes[i * L + l] = pair.a[i];
+    for (std::size_t j = 0; j < m; ++j) b_lanes[j * L + l] = pair.b[j];
+  }
+  double cost[L] = {};
+  kernel(a_lanes.data(), b_lanes.data(), n, m, w, row_0.data(), row_1.data(),
+         cost);
+
+  std::uint64_t band_cells = 0;
+  for (std::size_t i = 1; i <= n; ++i) {
+    band_cells += row_hi(i, m, w) - row_lo(i, w) + 1;
+  }
+  static obs::Counter& calls = obs::counter("dtw.calls");
+  static obs::Counter& cells = obs::counter("dtw.cells");
+  calls.add(batch.size());
+  cells.add(band_cells * batch.size());
+
+  for (std::size_t p = 0; p < batch.size(); ++p) {
+    if (!std::isfinite(cost[p])) {
+      throw std::invalid_argument("dtw: band too narrow to connect endpoints");
+    }
+    out[p] = cost[p];
+  }
+}
 
 }  // namespace
 
@@ -302,9 +320,8 @@ DtwResult dtw_distance(std::span<const double> a, std::span<const double> b,
   std::fill(l0, l0 + n + 1, 0.0);
   c2[0] = 0.0;
 
-  static const KernelFn kernel = pick_kernel();
   const KernelOut out =
-      kernel(a.data(), b.data(), n, m, w, c2, c1, c0, l2, l1, l0);
+      diagonal_kernel(a.data(), b.data(), n, m, w, c2, c1, c0, l2, l1, l0);
 
   static obs::Counter& calls = obs::counter("dtw.calls");
   static obs::Counter& cells = obs::counter("dtw.cells");
@@ -392,36 +409,84 @@ DtwPathResult dtw_with_path(std::span<const double> a,
   return result;
 }
 
+std::vector<double> dtw_distances(std::span<const SeriesPair> pairs,
+                                  const DtwOptions& options) {
+  std::vector<double> distance(pairs.size());
+  if (options.path_normalized) {
+    // The batched kernel keeps no path length; the one-pair kernel does.
+    par::parallel_for(pairs.size(), [&](std::size_t p) {
+      distance[p] = dtw_distance(pairs[p].a, pairs[p].b, options).distance;
+    });
+    return distance;
+  }
+  // Batch boundaries: a batch ends after L pairs or before a pair of
+  // another shape. They depend only on the input, never on threads.
+  std::vector<std::size_t> starts;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    if (starts.empty() || p - starts.back() == L ||
+        pairs[p].a.size() != pairs[starts.back()].a.size() ||
+        pairs[p].b.size() != pairs[starts.back()].b.size()) {
+      starts.push_back(p);
+    }
+  }
+  starts.push_back(pairs.size());
+  static const BatchKernel kernel = pick_batch_kernel();
+  par::parallel_for(starts.size() - 1, [&](std::size_t k) {
+    run_batch(pairs.subspan(starts[k], starts[k + 1] - starts[k]), options,
+              distance.data() + starts[k], kernel);
+  });
+  return distance;
+}
+
+void detail::dtw_batch_scalar(std::span<const SeriesPair> batch,
+                              const DtwOptions& options, double* out) {
+  if (batch.empty() || batch.size() > L) {
+    throw std::invalid_argument("dtw: a batch holds 1..kBatchLanes pairs");
+  }
+  for (const SeriesPair& pair : batch) {
+    if (pair.a.size() != batch.front().a.size() ||
+        pair.b.size() != batch.front().b.size()) {
+      throw std::invalid_argument("dtw: a batch holds pairs of one shape");
+    }
+  }
+  run_batch(batch, options, out, batch_kernel_scalar);
+}
+
+namespace {
+
+// Distances of every (i < j) pair of `series`, in (i asc, j asc) order.
+std::vector<double> upper_pair_distances(
+    const std::vector<std::vector<double>>& series,
+    const DtwOptions& options) {
+  const std::size_t n = series.size();
+  static obs::Counter& pair_count = obs::counter("dtw.pairs");
+  pair_count.add(n * (n - 1) / 2);
+  std::vector<SeriesPair> pairs;
+  pairs.reserve(n * (n - 1) / 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      pairs.push_back({series[i], series[j]});
+    }
+  }
+  return dtw_distances(pairs, options);
+}
+
+}  // namespace
+
 double mean_pairwise_dtw(const std::vector<std::vector<double>>& series,
                          const DtwOptions& options) {
   if (series.size() < 2) {
     throw std::invalid_argument("mean_pairwise_dtw: need at least 2 series");
   }
   obs::Span span("dtw.mean_pairwise");
-  const std::size_t n = series.size();
-  const std::size_t pairs = n * (n - 1) / 2;
-  static obs::Counter& pair_count = obs::counter("dtw.pairs");
-  pair_count.add(pairs);
-
-  // Pairs are enumerated in the same (i asc, j asc) order the serial loop
-  // used; distances land in index-owned slots and are summed in that order,
-  // so the result is bit-identical for any thread count.
-  std::vector<std::pair<std::size_t, std::size_t>> index;
-  index.reserve(pairs);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) index.emplace_back(i, j);
-  }
-  std::vector<double> distance(pairs);
-  par::parallel_for(pairs, [&](std::size_t p) {
-    distance[p] =
-        dtw_distance(series[index[p].first], series[index[p].second], options)
-            .distance;
-  });
+  // Distances sit in (i asc, j asc) slots and are summed in that order, so
+  // the result is bit-identical for any thread count.
+  const std::vector<double> distance = upper_pair_distances(series, options);
   double total = 0.0;
   for (double d : distance) total += d;
   // Eq. 7 sums over ordered pairs and divides by n*(n-1); with a symmetric
   // distance that equals the unordered-pair mean computed here.
-  return total / static_cast<double>(pairs);
+  return total / static_cast<double>(distance.size());
 }
 
 la::Matrix pairwise_dtw_matrix(const std::vector<std::vector<double>>& series,
@@ -430,23 +495,14 @@ la::Matrix pairwise_dtw_matrix(const std::vector<std::vector<double>>& series,
   la::Matrix d(n, n, 0.0);
   if (n < 2) return d;
   obs::Span span("dtw.pairwise_matrix");
-  const std::size_t pairs = n * (n - 1) / 2;
-  static obs::Counter& pair_count = obs::counter("dtw.pairs");
-  pair_count.add(pairs);
-
-  std::vector<std::pair<std::size_t, std::size_t>> index;
-  index.reserve(pairs);
+  const std::vector<double> distance = upper_pair_distances(series, options);
+  std::size_t p = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) index.emplace_back(i, j);
+    for (std::size_t j = i + 1; j < n; ++j, ++p) {
+      d(i, j) = distance[p];
+      d(j, i) = distance[p];
+    }
   }
-  // Task p writes (i,j) and (j,i) for its own pair only — deterministic for
-  // any thread count.
-  par::parallel_for(pairs, [&](std::size_t p) {
-    const auto [i, j] = index[p];
-    const double dist = dtw_distance(series[i], series[j], options).distance;
-    d(i, j) = dist;
-    d(j, i) = dist;
-  });
   return d;
 }
 
