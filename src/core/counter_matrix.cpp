@@ -9,6 +9,26 @@
 
 namespace perspector::core {
 
+namespace {
+
+std::vector<std::vector<CounterMatrix::SeriesPtr>> share_series(
+    std::vector<std::vector<std::vector<double>>> series) {
+  std::vector<std::vector<CounterMatrix::SeriesPtr>> shared;
+  shared.reserve(series.size());
+  for (auto& per_workload : series) {
+    std::vector<CounterMatrix::SeriesPtr> row;
+    row.reserve(per_workload.size());
+    for (auto& samples : per_workload) {
+      row.push_back(
+          std::make_shared<const std::vector<double>>(std::move(samples)));
+    }
+    shared.push_back(std::move(row));
+  }
+  return shared;
+}
+
+}  // namespace
+
 CounterMatrix::CounterMatrix(
     std::string suite_name, std::vector<std::string> workloads,
     std::vector<std::string> counters, la::Matrix values,
@@ -17,7 +37,25 @@ CounterMatrix::CounterMatrix(
       workloads_(std::move(workloads)),
       counters_(std::move(counters)),
       values_(std::move(values)),
-      series_(std::move(series)) {
+      series_(share_series(std::move(series))) {
+  check_shape();
+}
+
+CounterMatrix CounterMatrix::with_shared_series(
+    std::string suite_name, std::vector<std::string> workloads,
+    std::vector<std::string> counters, la::Matrix values,
+    std::vector<std::vector<SeriesPtr>> series) {
+  CounterMatrix matrix;
+  matrix.suite_name_ = std::move(suite_name);
+  matrix.workloads_ = std::move(workloads);
+  matrix.counters_ = std::move(counters);
+  matrix.values_ = std::move(values);
+  matrix.series_ = std::move(series);
+  matrix.check_shape();
+  return matrix;
+}
+
+void CounterMatrix::check_shape() const {
   if (values_.rows() != workloads_.size() ||
       values_.cols() != counters_.size()) {
     throw std::invalid_argument(
@@ -32,6 +70,11 @@ CounterMatrix::CounterMatrix(
       if (per_workload.size() != counters_.size()) {
         throw std::invalid_argument(
             "CounterMatrix: series counter count mismatch");
+      }
+      for (const SeriesPtr& samples : per_workload) {
+        if (!samples) {
+          throw std::invalid_argument("CounterMatrix: null series");
+        }
       }
     }
   }
@@ -80,28 +123,21 @@ CounterMatrix CounterMatrix::merge(std::string name,
 
   std::vector<std::string> workloads;
   la::Matrix values;
-  std::vector<std::vector<std::vector<double>>> series;
+  std::vector<std::vector<SeriesPtr>> series;
   for (const auto& part : parts) {
     for (std::size_t w = 0; w < part.num_workloads(); ++w) {
       workloads.push_back(part.suite_name() + "/" +
                           part.workload_names()[w]);
       values.append_row(part.values().row(w));
-      if (with_series) {
-        std::vector<std::vector<double>> per_counter;
-        per_counter.reserve(part.num_counters());
-        for (std::size_t c = 0; c < part.num_counters(); ++c) {
-          per_counter.push_back(part.series(w, c));
-        }
-        series.push_back(std::move(per_counter));
-      }
+      if (with_series) series.push_back(part.series_[w]);
     }
   }
-  return CounterMatrix(std::move(name), std::move(workloads), counters,
-                       std::move(values), std::move(series));
+  return with_shared_series(std::move(name), std::move(workloads), counters,
+                            std::move(values), std::move(series));
 }
 
-const std::vector<double>& CounterMatrix::series(std::size_t w,
-                                                 std::size_t c) const {
+const CounterMatrix::SeriesPtr& CounterMatrix::series_ptr(
+    std::size_t w, std::size_t c) const {
   if (series_.empty()) {
     throw std::logic_error("CounterMatrix::series: series not collected");
   }
@@ -139,18 +175,18 @@ CounterMatrix CounterMatrix::select_counters(
     counters.push_back(counters_[c]);
   }
   la::Matrix values = values_.select_cols(indices);
-  std::vector<std::vector<std::vector<double>>> series;
+  std::vector<std::vector<SeriesPtr>> series;
   if (!series_.empty()) {
     series.reserve(series_.size());
     for (const auto& per_workload : series_) {
-      std::vector<std::vector<double>> kept;
+      std::vector<SeriesPtr> kept;
       kept.reserve(indices.size());
       for (std::size_t c : indices) kept.push_back(per_workload[c]);
       series.push_back(std::move(kept));
     }
   }
-  return CounterMatrix(suite_name_, workloads_, std::move(counters),
-                       std::move(values), std::move(series));
+  return with_shared_series(suite_name_, workloads_, std::move(counters),
+                            std::move(values), std::move(series));
 }
 
 CounterMatrix CounterMatrix::select_workloads(
@@ -163,13 +199,13 @@ CounterMatrix CounterMatrix::select_workloads(
     workloads.push_back(workloads_[w]);
   }
   la::Matrix values = values_.select_rows(indices);
-  std::vector<std::vector<std::vector<double>>> series;
+  std::vector<std::vector<SeriesPtr>> series;
   if (!series_.empty()) {
     series.reserve(indices.size());
     for (std::size_t w : indices) series.push_back(series_[w]);
   }
-  return CounterMatrix(suite_name_, std::move(workloads), counters_,
-                       std::move(values), std::move(series));
+  return with_shared_series(suite_name_, std::move(workloads), counters_,
+                            std::move(values), std::move(series));
 }
 
 CounterMatrix collect_counters(const sim::SuiteSpec& suite,

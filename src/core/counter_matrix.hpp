@@ -3,9 +3,17 @@
 // writes the transpose, m x n; the math is unchanged). Optionally carries
 // the per-workload, per-counter sampled time series needed by the
 // TrendScore.
+//
+// Series storage is shared: each (workload, counter) series sits behind a
+// shared_ptr to an immutable vector, so a matrix derived from another
+// (select_workloads, select_counters, merge, a copy, a live-suite edit)
+// points at the same samples instead of copying them. A new vector is made
+// only for a series whose samples change; a reader holding an older matrix
+// keeps its snapshot alive and unchanged.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +27,9 @@ namespace perspector::core {
 /// One benchmark suite's collected counter data.
 class CounterMatrix {
  public:
+  /// One sampled series, shared by every matrix that holds those samples.
+  using SeriesPtr = std::shared_ptr<const std::vector<double>>;
+
   CounterMatrix() = default;
 
   /// Direct construction; series may be empty (aggregate-only data).
@@ -27,6 +38,14 @@ class CounterMatrix {
   CounterMatrix(std::string suite_name, std::vector<std::string> workloads,
                 std::vector<std::string> counters, la::Matrix values,
                 std::vector<std::vector<std::vector<double>>> series = {});
+
+  /// Construction over shared series storage: `series[w][c]` is workload
+  /// w's series for counter c, taken without a copy. Same checks as the
+  /// constructor above; a null pointer is a shape inconsistency too.
+  static CounterMatrix with_shared_series(
+      std::string suite_name, std::vector<std::string> workloads,
+      std::vector<std::string> counters, la::Matrix values,
+      std::vector<std::vector<SeriesPtr>> series);
 
   /// Builds from simulator output (counter order = Table IV enum order).
   static CounterMatrix from_sim_results(
@@ -57,7 +76,12 @@ class CounterMatrix {
 
   /// Sampled series of counter `c` for workload `w`; throws when series were
   /// not collected.
-  const std::vector<double>& series(std::size_t w, std::size_t c) const;
+  const std::vector<double>& series(std::size_t w, std::size_t c) const {
+    return *series_ptr(w, c);
+  }
+  /// The shared storage behind series(w, c); same throws. Two matrices
+  /// whose pointers are equal hold the same samples.
+  const SeriesPtr& series_ptr(std::size_t w, std::size_t c) const;
 
   /// Index of a counter by name; throws std::invalid_argument when missing.
   std::size_t counter_index(const std::string& name) const;
@@ -71,11 +95,14 @@ class CounterMatrix {
   CounterMatrix select_workloads(const std::vector<std::size_t>& indices) const;
 
  private:
+  /// Throws std::invalid_argument on any shape inconsistency.
+  void check_shape() const;
+
   std::string suite_name_;
   std::vector<std::string> workloads_;
   std::vector<std::string> counters_;
   la::Matrix values_;  // num_workloads x num_counters
-  std::vector<std::vector<std::vector<double>>> series_;  // [w][c][sample]
+  std::vector<std::vector<SeriesPtr>> series_;  // [w][c], never null
 };
 
 /// Runs the simulator over a whole suite and packages the result.

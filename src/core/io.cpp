@@ -233,12 +233,13 @@ void append_aggregate_rows(ingest::CsvStream& rows, std::size_t counters,
 
 /// Reads a long-format series CSV from `rows` onto `series`, indexed by
 /// the workloads and counters of `names`; each sample must continue its
-/// (workload, counter) series densely. Returns the number of data rows
-/// and marks the workload of each in `touched` when given.
+/// (workload, counter) series densely — after the samples `names` already
+/// holds when `continues` is set, from 0 otherwise. Returns the number of
+/// data rows and marks the workload of each in `touched` when given.
 std::size_t read_series_rows(ingest::CsvStream& rows,
                              const std::string& origin,
                              const CounterMatrix& names, Series& series,
-                             std::vector<bool>* touched) {
+                             std::vector<bool>* touched, bool continues) {
   const bool header_ok = rows.next_row() && rows.cells().size() == 4 &&
                          rows.cells()[0] == "workload" &&
                          rows.cells()[1] == "counter" &&
@@ -248,6 +249,17 @@ std::size_t read_series_rows(ingest::CsvStream& rows,
     throw std::runtime_error(
         "'" + origin + "': header must be 'workload,counter,sample,value'");
   }
+  // Hashed name lookups: a linear search per row made a series read
+  // O(rows x workloads). A miss re-asks the matrix, which throws the error.
+  const auto index = [](const std::vector<std::string>& list) {
+    ingest::NameIndex by_name(list.size());
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      by_name.insert(list[i], i, list);
+    }
+    return by_name;
+  };
+  const ingest::NameIndex workloads = index(names.workload_names());
+  const ingest::NameIndex counters = index(names.counter_names());
   std::size_t count = 0;
   while (rows.next_row()) {
     const auto& cells = rows.cells();
@@ -257,18 +269,26 @@ std::size_t read_series_rows(ingest::CsvStream& rows,
     std::size_t w = 0;
     std::size_t c = 0;
     try {
-      w = names.workload_index(std::string(cells[0]));
-      c = names.counter_index(std::string(cells[1]));
+      w = workloads.find(cells[0], names.workload_names());
+      if (w == ingest::NameIndex::npos) {
+        w = names.workload_index(std::string(cells[0]));
+      }
+      c = counters.find(cells[1], names.counter_names());
+      if (c == ingest::NameIndex::npos) {
+        c = names.counter_index(std::string(cells[1]));
+      }
     } catch (const std::invalid_argument& e) {
       throw std::invalid_argument(rows.location() + ": " + e.what());
     }
     const std::size_t s =
         parse_index(cells[2], rows.line_no(), rows.byte_offset());
     auto& target = series[w][c];
-    if (s != target.size()) {
+    const std::size_t expected =
+        (continues ? names.series(w, c).size() : 0) + target.size();
+    if (s != expected) {
       throw std::runtime_error(
           rows.location() + ": sample indices must be dense from 0 (expected " +
-          std::to_string(target.size()) + ", got " + std::to_string(s) + ")");
+          std::to_string(expected) + ", got " + std::to_string(s) + ")");
     }
     target.push_back(
         parse_double(cells[3], rows.line_no(), rows.byte_offset()));
@@ -309,7 +329,7 @@ CounterMatrix attach_series_rows(const CounterMatrix& aggregates,
                                  const std::string& origin) {
   Series series(aggregates.num_workloads(),
                 std::vector<std::vector<double>>(aggregates.num_counters()));
-  read_series_rows(rows, origin, aggregates, series, nullptr);
+  read_series_rows(rows, origin, aggregates, series, nullptr, false);
   for (std::size_t w = 0; w < aggregates.num_workloads(); ++w) {
     for (std::size_t c = 0; c < aggregates.num_counters(); ++c) {
       if (series[w][c].empty()) {
@@ -411,20 +431,22 @@ CounterMatrix append_workloads_csv_text(const CounterMatrix& base,
   const CounterMatrix with_series =
       attach_series_rows(delta, series_rows, "<delta series csv>");
 
-  Series series;
+  // The base rows keep pointing at the base's series storage.
+  std::vector<std::vector<CounterMatrix::SeriesPtr>> series;
   series.reserve(workloads.size());
   for (const CounterMatrix* part : {&base, &with_series}) {
     for (std::size_t w = 0; w < part->num_workloads(); ++w) {
-      std::vector<std::vector<double>> row_series(base.num_counters());
+      std::vector<CounterMatrix::SeriesPtr> row_series;
+      row_series.reserve(base.num_counters());
       for (std::size_t c = 0; c < base.num_counters(); ++c) {
-        row_series[c] = part->series(w, c);
+        row_series.push_back(part->series_ptr(w, c));
       }
       series.push_back(std::move(row_series));
     }
   }
-  return CounterMatrix(base.suite_name(), std::move(workloads),
-                       base.counter_names(), std::move(values),
-                       std::move(series));
+  return CounterMatrix::with_shared_series(
+      base.suite_name(), std::move(workloads), base.counter_names(),
+      std::move(values), std::move(series));
 }
 
 CounterMatrix append_samples_csv_text(
@@ -434,28 +456,44 @@ CounterMatrix append_samples_csv_text(
     throw std::logic_error(
         "append_samples_csv_text: base matrix carries no series");
   }
-  Series series(base.num_workloads(),
-                std::vector<std::vector<double>>(base.num_counters()));
-  for (std::size_t w = 0; w < base.num_workloads(); ++w) {
-    for (std::size_t c = 0; c < base.num_counters(); ++c) {
-      series[w][c] = base.series(w, c);
-    }
-  }
-
+  // Only the appended samples are parsed, into `tail`; a series that gains
+  // none keeps pointing at the base's storage, so an append copies just
+  // the series it extends.
+  const std::size_t n = base.num_workloads();
+  const std::size_t m = base.num_counters();
+  Series tail(n, std::vector<std::vector<double>>(m));
   ingest::CsvStream rows(series_text);
-  std::vector<bool> touched(base.num_workloads(), false);
-  if (read_series_rows(rows, "<delta series csv>", base, series, &touched) ==
-      0) {
+  std::vector<bool> touched(n, false);
+  if (read_series_rows(rows, "<delta series csv>", base, tail, &touched,
+                       true) == 0) {
     throw std::runtime_error("'<delta series csv>': no data rows");
   }
   if (touched_workloads != nullptr) {
     touched_workloads->clear();
-    for (std::size_t w = 0; w < touched.size(); ++w) {
+    for (std::size_t w = 0; w < n; ++w) {
       if (touched[w]) touched_workloads->push_back(w);
     }
   }
-  return CounterMatrix(base.suite_name(), base.workload_names(),
-                       base.counter_names(), base.values(), std::move(series));
+  std::vector<std::vector<CounterMatrix::SeriesPtr>> series(n);
+  for (std::size_t w = 0; w < n; ++w) {
+    series[w].reserve(m);
+    for (std::size_t c = 0; c < m; ++c) {
+      const CounterMatrix::SeriesPtr& old = base.series_ptr(w, c);
+      const std::vector<double>& added = tail[w][c];
+      if (added.empty()) {
+        series[w].push_back(old);
+        continue;
+      }
+      auto grown = std::make_shared<std::vector<double>>();
+      grown->reserve(old->size() + added.size());
+      grown->insert(grown->end(), old->begin(), old->end());
+      grown->insert(grown->end(), added.begin(), added.end());
+      series[w].push_back(std::move(grown));
+    }
+  }
+  return CounterMatrix::with_shared_series(
+      base.suite_name(), base.workload_names(), base.counter_names(),
+      base.values(), std::move(series));
 }
 
 std::vector<PerfStatRecord> parse_perf_stat(const std::string& text) {

@@ -60,6 +60,20 @@ class NameIndex {
     }
   }
 
+  /// The row holding `name`, or npos. `names` is the vector the rows were
+  /// inserted from.
+  std::size_t find(std::string_view name,
+                   const std::vector<std::string>& names) const {
+    const std::uint64_t hash = std::hash<std::string_view>{}(name);
+    for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.row_plus_1 == 0) return npos;
+      if (slot.hash == hash && names[slot.row_plus_1 - 1] == name) {
+        return slot.row_plus_1 - 1;
+      }
+    }
+  }
+
  private:
   struct Slot {
     std::uint64_t hash;

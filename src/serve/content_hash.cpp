@@ -39,28 +39,40 @@ ContentHasher& ContentHasher::str(std::string_view text) noexcept {
   return bytes(text.data(), text.size());
 }
 
-void hash_counter_matrix(ContentHasher& hasher,
-                         const core::CounterMatrix& data) {
+Key128 hash_counter_row(const core::CounterMatrix& data, std::size_t w) {
+  ContentHasher hasher;
+  hasher.str(data.workload_names().at(w));
+  for (std::size_t c = 0; c < data.num_counters(); ++c) {
+    hasher.f64(data.value(w, c));
+  }
+  if (data.has_series()) {
+    for (std::size_t c = 0; c < data.num_counters(); ++c) {
+      const auto& series = data.series(w, c);
+      hasher.u64(series.size());
+      for (double v : series) hasher.f64(v);
+    }
+  }
+  return hasher.digest();
+}
+
+void fold_counter_matrix(ContentHasher& hasher,
+                         const core::CounterMatrix& data,
+                         std::span<const Key128> rows) {
   hasher.str(data.suite_name());
   hasher.u64(data.num_workloads());
   hasher.u64(data.num_counters());
-  for (const auto& name : data.workload_names()) hasher.str(name);
   for (const auto& name : data.counter_names()) hasher.str(name);
-  for (std::size_t w = 0; w < data.num_workloads(); ++w) {
-    for (std::size_t c = 0; c < data.num_counters(); ++c) {
-      hasher.f64(data.value(w, c));
-    }
-  }
   hasher.u64(data.has_series() ? 1 : 0);
-  if (data.has_series()) {
-    for (std::size_t w = 0; w < data.num_workloads(); ++w) {
-      for (std::size_t c = 0; c < data.num_counters(); ++c) {
-        const auto& series = data.series(w, c);
-        hasher.u64(series.size());
-        for (double v : series) hasher.f64(v);
-      }
-    }
+  for (const Key128& row : rows) hasher.u64(row.hi).u64(row.lo);
+}
+
+void hash_counter_matrix(ContentHasher& hasher,
+                         const core::CounterMatrix& data) {
+  std::vector<Key128> rows(data.num_workloads());
+  for (std::size_t w = 0; w < rows.size(); ++w) {
+    rows[w] = hash_counter_row(data, w);
   }
+  fold_counter_matrix(hasher, data, rows);
 }
 
 Key128 DigestCache::matrix_digest(

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -58,9 +59,21 @@ class ContentHasher {
   std::uint64_t lo_ = 0x6c62272e07bb0142ull;  // high half of the 128-bit basis
 };
 
-/// Digest of a CounterMatrix's full content: suite name, workload and
-/// counter names, aggregate values, and (when present) every series
-/// sample with its length.
+/// Digest of row `w` of `data`: its workload name, its aggregate values
+/// and (when present) every series sample with its series' length.
+Key128 hash_counter_row(const core::CounterMatrix& data, std::size_t w);
+
+/// Feeds the matrix digest into `hasher`: a header (suite name, shape,
+/// counter names, whether series are present) and then `rows`, which must
+/// be hash_counter_row of every row of `data`, in row order. A caller that
+/// keeps row digests in step with its edits re-hashes only the rows an
+/// edit touches and still gets the digest a cold hash would.
+void fold_counter_matrix(ContentHasher& hasher,
+                         const core::CounterMatrix& data,
+                         std::span<const Key128> rows);
+
+/// Digest of a CounterMatrix's full content: fold_counter_matrix over the
+/// hash_counter_row of every row.
 void hash_counter_matrix(ContentHasher& hasher,
                          const core::CounterMatrix& data);
 

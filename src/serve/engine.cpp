@@ -366,8 +366,7 @@ ScoreResponse Engine::score_inner(const ScoreRequest& request) {
   if (resident) {
     resident_lock = std::shared_lock<std::shared_mutex>(resident->rw);
     resident_data = resident->data;
-    key = result_cache_key(digests_.matrix_digest(resident_data),
-                           request.events);
+    key = result_cache_key(resident->digest, request.events);
   } else {
     key = result_cache_key(content_key(request), request.events);
   }
@@ -540,8 +539,7 @@ MutateResponse Engine::rescore_locked(const MutateRequest& request,
   // Honest content addressing: the key digests the suite's *current*
   // matrix, so an add→drop round-trip back to previous content is a
   // legitimate cache hit and a mutation can never serve a stale report.
-  const Key128 key =
-      result_cache_key(digests_.matrix_digest(resident.data), request.events);
+  const Key128 key = result_cache_key(resident.digest, request.events);
   if (auto cached = cache_.get_memory(key)) {
     hit_counter().increment();
     response.ok = true;
@@ -625,6 +623,9 @@ MutateResponse Engine::mutate_inner(const MutateRequest& request) {
       return error_reply<MutateResponse>(request, "bad_request", e.what());
     }
     auto resident = std::make_shared<ResidentSuite>();
+    std::vector<std::size_t> all(data->num_workloads());
+    for (std::size_t w = 0; w < all.size(); ++w) all[w] = w;
+    update_digest(*resident, *data, all);
     resident->data = std::move(data);
     resident->workspace = std::make_shared<core::ScoringWorkspace>();
     resident->version = 1;
@@ -656,6 +657,7 @@ MutateResponse Engine::mutate_inner(const MutateRequest& request) {
   std::optional<core::CounterMatrix> next;
   std::vector<std::size_t> upserts;  // row indices of `next` to upsert
   std::string dropped;               // workload to unmap from the cache
+  std::size_t dropped_row = 0;       // its row index in `base`
   try {
     switch (request.op) {
       case MutateOp::AddWorkload: {
@@ -689,6 +691,7 @@ MutateResponse Engine::mutate_inner(const MutateRequest& request) {
         }
         next.emplace(base.select_workloads(keep));
         dropped = request.workload;
+        dropped_row = at;
         break;
       }
       case MutateOp::AppendSamples: {
@@ -731,10 +734,28 @@ MutateResponse Engine::mutate_inner(const MutateRequest& request) {
     }
   }
 
+  if (!dropped.empty()) {
+    resident->row_digests.erase(resident->row_digests.begin() +
+                                static_cast<std::ptrdiff_t>(dropped_row));
+  }
+  update_digest(*resident, *next, upserts);
   ++resident->version;
   resident->data =
       std::make_shared<const core::CounterMatrix>(std::move(*next));
   return rescore_locked(request, *resident);
+}
+
+void Engine::update_digest(ResidentSuite& resident,
+                           const core::CounterMatrix& next,
+                           const std::vector<std::size_t>& rehash) {
+  obs::Span span("serve.digest");
+  resident.row_digests.resize(next.num_workloads());
+  for (const std::size_t row : rehash) {
+    resident.row_digests[row] = hash_counter_row(next, row);
+  }
+  ContentHasher hasher;
+  fold_counter_matrix(hasher, next, resident.row_digests);
+  resident.digest = hasher.digest();
 }
 
 }  // namespace perspector::serve

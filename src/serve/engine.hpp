@@ -22,9 +22,11 @@
 //     degrade to serial on the worker — bit-identical either way.
 //
 // The warm path is hash-free: the content key of a built-in request
-// digests (name, instructions) — a handful of bytes — and matrix digests
-// are memoized per resident matrix (DigestCache), so a repeat request
-// never re-walks counter samples just to find its cache key.
+// digests (name, instructions) — a handful of bytes — and digests of
+// in-process matrices are memoized per matrix (DigestCache), so a repeat
+// request never re-walks counter samples just to find its cache key. A
+// live suite keeps one digest per row in step with its edits and folds
+// them into its key, so an edit re-hashes only the rows it touches.
 //
 // Determinism contract: the `report` field of a successful response is
 // byte-identical to the one-shot CLI output for the same inputs —
@@ -160,7 +162,18 @@ class Engine : public ScoreBackend {
     /// Event filter the workspace is (or will be) primed under; delta
     /// upserts must present the identically filtered counter view.
     std::string events;
+    /// hash_counter_row of every row of `data`, in row order, and their
+    /// fold_counter_matrix: the content key of `data`, equal to a cold
+    /// hash_counter_matrix of it.
+    std::vector<Key128> row_digests;
+    Key128 digest;
   };
+
+  /// Brings `resident`'s row digests in step with `next` — `rehash` lists
+  /// the rows whose content changed or that are new — and folds the key.
+  static void update_digest(ResidentSuite& resident,
+                            const core::CounterMatrix& next,
+                            const std::vector<std::size_t>& rehash);
 
   std::shared_ptr<const core::CounterMatrix> resolve_data(
       const ScoreRequest& request);

@@ -81,6 +81,40 @@ TEST(CounterMatrix, SelectWorkloads) {
   EXPECT_THROW(m.select_workloads({7}), std::out_of_range);
 }
 
+TEST(CounterMatrix, DerivedMatricesShareSeriesStorage) {
+  const CounterMatrix m = sample_matrix();
+  const CounterMatrix copy = m;
+  const CounterMatrix rows = m.select_workloads({1, 0});
+  const CounterMatrix cols = m.select_counters({2, 0});
+  const CounterMatrix merged = CounterMatrix::merge("pool", {m});
+  EXPECT_EQ(copy.series(1, 2).data(), m.series(1, 2).data());
+  EXPECT_EQ(rows.series(0, 1).data(), m.series(1, 1).data());
+  EXPECT_EQ(cols.series(1, 0).data(), m.series(1, 2).data());
+  EXPECT_EQ(merged.series(0, 0).data(), m.series(0, 0).data());
+  EXPECT_EQ(rows.series_ptr(1, 2), m.series_ptr(0, 2));
+}
+
+TEST(CounterMatrix, SharedSeriesConstructionValidates) {
+  const CounterMatrix m = sample_matrix();
+  std::vector<std::vector<CounterMatrix::SeriesPtr>> series = {
+      {m.series_ptr(0, 0), m.series_ptr(0, 1), m.series_ptr(0, 2)},
+      {m.series_ptr(1, 0), m.series_ptr(1, 1), nullptr}};
+  EXPECT_THROW(CounterMatrix::with_shared_series("s", m.workload_names(),
+                                                 m.counter_names(),
+                                                 m.values(), series),
+               std::invalid_argument);
+  series[1].pop_back();
+  EXPECT_THROW(CounterMatrix::with_shared_series("s", m.workload_names(),
+                                                 m.counter_names(),
+                                                 m.values(), series),
+               std::invalid_argument);
+  series[1].push_back(m.series_ptr(1, 2));
+  const CounterMatrix shared = CounterMatrix::with_shared_series(
+      "s", m.workload_names(), m.counter_names(), m.values(), series);
+  EXPECT_EQ(shared.series(1, 2), m.series(1, 2));
+  EXPECT_EQ(shared.series(1, 2).data(), m.series(1, 2).data());
+}
+
 TEST(CounterMatrix, MergePoolsSuites) {
   const CounterMatrix a = sample_matrix();
   la::Matrix values(1, 3, 9.0);

@@ -570,6 +570,54 @@ TEST(AppendSamples, UnknownNameReportsLocation) {
   }
 }
 
+/// Every sample of `data`, bit for bit, in (workload, counter) order.
+std::vector<std::uint64_t> sample_bits(const CounterMatrix& data) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t w = 0; w < data.num_workloads(); ++w) {
+    for (std::size_t c = 0; c < data.num_counters(); ++c) {
+      for (double v : data.series(w, c)) {
+        out.push_back(std::bit_cast<std::uint64_t>(v));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(AppendSamples, LeavesTheSnapshotAndSharesUntouchedSeries) {
+  const CounterMatrix base = series_suite();
+  const std::vector<std::uint64_t> before = sample_bits(base);
+  const CounterMatrix grown = core::append_samples_csv_text(
+      base, "workload,counter,sample,value\nw1,c0,2,-0\n");
+
+  // The earlier snapshot is bit-unchanged.
+  EXPECT_EQ(sample_bits(base), before);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(grown.series(1, 0).back()),
+            std::bit_cast<std::uint64_t>(-0.0));
+  // Only the extended series got new storage; the others are the base's.
+  for (std::size_t w = 0; w < base.num_workloads(); ++w) {
+    for (std::size_t c = 0; c < base.num_counters(); ++c) {
+      const bool touched = w == 1 && c == 0;
+      EXPECT_EQ(grown.series(w, c).data() == base.series(w, c).data(),
+                !touched)
+          << "w" << w << " c" << c;
+    }
+  }
+}
+
+TEST(AppendWorkloads, SharesTheBaseSeriesStorage) {
+  const CounterMatrix base = series_suite();
+  const std::vector<std::uint64_t> before = sample_bits(base);
+  const CounterMatrix grown = core::append_workloads_csv_text(
+      base, "workload,c0,c1\nw3,7,8\n",
+      "workload,counter,sample,value\nw3,c0,0,7\nw3,c1,0,8\n");
+  EXPECT_EQ(sample_bits(base), before);
+  for (std::size_t w = 0; w < base.num_workloads(); ++w) {
+    for (std::size_t c = 0; c < base.num_counters(); ++c) {
+      EXPECT_EQ(grown.series(w, c).data(), base.series(w, c).data());
+    }
+  }
+}
+
 TEST(PerfStatComments, UnbalancedQuoteInACommentIsSkipped) {
   // '#' lines are skipped before their cells are split, so a stray quote
   // in a comment never reaches the cell scanner.
@@ -640,6 +688,13 @@ TEST(NameIndex, DetectsDuplicatesWhileGrowingFromATinyHint) {
   EXPECT_EQ(index.insert("workload-4999", 5000, names), 4999u);
   names.push_back("workload-5000");
   EXPECT_EQ(index.insert(names.back(), 5000, names), ingest::NameIndex::npos);
+
+  // find answers the same rows without inserting.
+  EXPECT_EQ(index.find("workload-0", names), 0u);
+  EXPECT_EQ(index.find("workload-4321", names), 4321u);
+  EXPECT_EQ(index.find("workload-5000", names), 5000u);
+  EXPECT_EQ(index.find("workload-5001", names), ingest::NameIndex::npos);
+  EXPECT_EQ(index.find("", names), ingest::NameIndex::npos);
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 
 namespace perspector::core {
@@ -72,6 +76,33 @@ TEST(FormatDouble, Precision) {
   EXPECT_EQ(format_double(1.23456, 2), "1.23");
   EXPECT_EQ(format_double(1.0, 4), "1.0000");
   EXPECT_EQ(format_double(-0.5, 1), "-0.5");
+}
+
+TEST(FormatDouble, MatchesTheStreamPathOnACorpus) {
+  // The stream formatting format_double used before it took to_chars, and
+  // still takes for values too wide for its buffer.
+  const auto streamed = [](double value, int precision) {
+    std::ostringstream os;
+    os << std::fixed << std::setprecision(precision) << value;
+    return os.str();
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double corpus[] = {
+      0.0, -0.0, 1.0, -1.0, 0.125, 0.375, 2.5, 3.5, -2.5, 0.5, 1.5, 0.05,
+      0.0005, 123.456, 99.995, 9.9999996, 1e-5, 1e15, 1e22, 1e300, -1e300,
+      inf, -inf, nan, -nan,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      std::nextafter(0.125, 1.0), std::nextafter(2.5, 0.0), 1.0 / 3.0,
+      2.0 / 3.0, 1234567.891011, 4.35, 0.045};
+  for (int precision = 0; precision <= 6; ++precision) {
+    for (const double value : corpus) {
+      EXPECT_EQ(format_double(value, precision), streamed(value, precision))
+          << "value " << std::hexfloat << value << " precision " << precision;
+    }
+  }
 }
 
 TEST(ScoresTable, OneRowPerSuite) {

@@ -89,6 +89,44 @@ TEST(ServeContentHash, SensitiveToEveryField) {
   EXPECT_NE(base, digest(tiny_matrix("suite", 1.0 + 1e-12)));  // bits matter
 }
 
+TEST(ServeContentHash, MatrixDigestIsTheFoldOfItsRowDigests) {
+  const auto cold = [](const core::CounterMatrix& m) {
+    ContentHasher hasher;
+    hash_counter_matrix(hasher, m);
+    return hasher.digest();
+  };
+  const auto fold = [](const core::CounterMatrix& m,
+                       const std::vector<Key128>& rows) {
+    ContentHasher hasher;
+    fold_counter_matrix(hasher, m, rows);
+    return hasher.digest();
+  };
+  const core::CounterMatrix base(
+      "s", {"w0", "w1", "w2"}, {"c0"}, la::Matrix{{1.0}, {2.0}, {3.0}},
+      {{{0.0, 1.0}}, {{2.0}}, {{3.0, 4.0}}});
+  std::vector<Key128> rows;
+  for (std::size_t w = 0; w < base.num_workloads(); ++w) {
+    rows.push_back(hash_counter_row(base, w));
+  }
+  EXPECT_EQ(fold(base, rows), cold(base));
+
+  // An edit of one row changes that row's digest alone; re-hashing just
+  // that row keeps the fold equal to a cold hash. -0.0 is not 0.0.
+  const core::CounterMatrix edited(
+      "s", {"w0", "w1", "w2"}, {"c0"}, la::Matrix{{1.0}, {2.0}, {3.0}},
+      {{{-0.0, 1.0}}, {{2.0}}, {{3.0, 4.0}}});
+  EXPECT_NE(hash_counter_row(edited, 0), rows[0]);
+  EXPECT_EQ(hash_counter_row(edited, 1), rows[1]);
+  EXPECT_EQ(hash_counter_row(edited, 2), rows[2]);
+  rows[0] = hash_counter_row(edited, 0);
+  EXPECT_EQ(fold(edited, rows), cold(edited));
+  EXPECT_NE(cold(edited), cold(base));
+
+  // Row order is part of the content.
+  const core::CounterMatrix swapped = base.select_workloads({1, 0, 2});
+  EXPECT_NE(cold(swapped), cold(base));
+}
+
 TEST(ServeContentHash, LengthPrefixPreventsConcatenationAliases) {
   const Key128 a = ContentHasher().str("ab").str("c").digest();
   const Key128 b = ContentHasher().str("a").str("bc").digest();

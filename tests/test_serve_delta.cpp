@@ -264,6 +264,70 @@ TEST(ServeDelta, AddDropRoundTripIsAnHonestCacheHit) {
   EXPECT_EQ(readded.report, added.report);
 }
 
+/// A series payload that appends `value` to series (w, c) of `data`.
+std::string append_text(const core::CounterMatrix& data, std::size_t w,
+                        std::size_t c, const std::string& value) {
+  return "workload,counter,sample,value\n" + data.workload_names()[w] + "," +
+         data.counter_names()[c] + "," +
+         std::to_string(data.series(w, c).size()) + "," + value + "\n";
+}
+
+TEST(ServeDelta, ResidentKeyEqualsAColdHashAfterEveryEdit) {
+  ThreadCountGuard guard;
+  par::set_thread_count(1);
+  const LiveSuiteData d;
+  Engine engine;
+  core::CounterMatrix expected =
+      core::read_with_series_csv_text("live", d.base_agg, d.base_ser);
+
+  // A score of `expected` sent as an in-process matrix is keyed by a cold
+  // hash_counter_matrix of it. It hits the entry each mutation stored
+  // under the resident's incrementally kept key only if the keys are equal.
+  const auto expect_cold_key_hits = [&](const MutateResponse& mutated,
+                                        const std::string& step) {
+    ASSERT_TRUE(mutated.ok) << step << ": " << mutated.message;
+    ScoreRequest cold;
+    cold.id = step;
+    cold.data = std::make_shared<const core::CounterMatrix>(expected);
+    const ScoreResponse scored = engine.score(cold);
+    ASSERT_TRUE(scored.ok) << step << ": " << scored.message;
+    EXPECT_TRUE(scored.cache_hit) << step;
+    EXPECT_EQ(scored.report, mutated.report) << step;
+  };
+  const auto append = [&](std::size_t w, std::size_t c,
+                          const std::string& value, const std::string& id) {
+    MutateRequest request;
+    request.id = id;
+    request.op = MutateOp::AppendSamples;
+    request.suite = "live";
+    request.series_text = append_text(expected, w, c, value);
+    expected = core::append_samples_csv_text(expected, request.series_text);
+    return engine.mutate(request);
+  };
+
+  expect_cold_key_hits(engine.mutate(load_request(d, "load")), "load");
+  expect_cold_key_hits(append(0, 0, "1234.5", "a1"), "append 1");
+  expect_cold_key_hits(append(3, 5, "0", "a2"), "append 2");
+  expect_cold_key_hits(append(0, 0, "17", "a3"), "append 3");
+
+  const core::CounterMatrix before_add = expected;
+  expected = core::append_workloads_csv_text(expected, d.add_agg, d.add_ser);
+  expect_cold_key_hits(engine.mutate(add_request(d, "add")), "add");
+
+  // Dropping the added workload returns to the content before the add:
+  // the key is a function of content alone, so the drop is a hit.
+  const std::string added = expected.workload_names().back();
+  expected = before_add;
+  const MutateResponse dropped = engine.mutate(drop_request(added, "drop"));
+  EXPECT_TRUE(dropped.cache_hit);
+  expect_cold_key_hits(dropped, "drop");
+
+  // -0 differs from 0 in its bits, so it is new content.
+  const MutateResponse signed_zero = append(3, 5, "-0", "a4");
+  EXPECT_FALSE(signed_zero.cache_hit);
+  expect_cold_key_hits(signed_zero, "append 4");
+}
+
 TEST(ServeDelta, MutationErrorsAreStructuredBadRequests) {
   ThreadCountGuard guard;
   par::set_thread_count(1);

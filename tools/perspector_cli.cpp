@@ -636,6 +636,17 @@ int cmd_client(const Args& args) {
     return serve::run_client(run, std::cout, std::cerr);
   }
 
+  // The mirror of the check above: an option only a job request reads is
+  // a usage error without a job flag, rather than dropped.
+  for (const char* flag : {"follow", "size", "candidates", "seed", "client",
+                           "watch-interval-ms"}) {
+    if (args.has(flag)) {
+      throw UsageError("'--" + std::string(flag) +
+                       "' needs a job flag (--submit, --watch, "
+                       "--job-status, --job-cancel or --job-list)");
+    }
+  }
+
   // Live-suite mutation flags (at most one per invocation); the payload
   // rides on --csv/--series, which then belong to the mutation rather
   // than the score request.
