@@ -52,10 +52,9 @@ int main(int argc, char** argv) {
   std::printf("%-22s %14s %14s\n", "pair", "raw-DTW", "normalized-DTW");
   for (std::size_t i = 0; i < raw.size(); ++i) {
     for (std::size_t j = i + 1; j < raw.size(); ++j) {
-      const double d_raw = dtw::dtw_distance(raw[i], raw[j]).distance;
+      const double d_raw = dtw::dtw_distance(raw[i], raw[j]);
       const double d_norm = dtw::dtw_distance(dtw::normalize_trend(raw[i]),
-                                              dtw::normalize_trend(raw[j]))
-                                .distance;
+                                              dtw::normalize_trend(raw[j]));
       const std::string pair =
           data.workload_names()[i] + "-" + data.workload_names()[j];
       std::printf("%-22s %14.0f %14.1f\n", pair.c_str(), d_raw, d_norm);

@@ -115,8 +115,10 @@ void BM_DtwBanded(benchmark::State& state) {
 BENCHMARK(BM_DtwBanded)->Arg(100)->Arg(400);
 
 // One full batch of the batched kernel: kBatchLanes pairs of 101-point
-// series (the default trend grid), one SIMD lane per pair. Compare with
-// kBatchLanes x BM_DtwDistance/100 for the per-pair cost.
+// series (the default trend grid), one SIMD lane per pair. BM_DtwDistance
+// runs one pair through the same kernel with the other lanes padding, so
+// its /100 row is about one batch's time and the per-pair cost here is
+// that divided by kBatchLanes.
 void BM_DtwBatch(benchmark::State& state) {
   std::vector<std::vector<double>> series;
   for (std::size_t s = 0; s <= dtw::kBatchLanes; ++s) {

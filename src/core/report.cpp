@@ -208,24 +208,15 @@ Table counters_table(const std::vector<obs::CounterSnapshot>& counters) {
   return table;
 }
 
-Table distributions_table(
-    const std::vector<obs::DistributionSnapshot>& distributions) {
-  Table table({"metric", "count", "min", "mean", "max"});
-  for (const auto& snapshot : distributions) {
+Table histograms_table(
+    const std::vector<obs::HistogramSnapshot>& histograms) {
+  Table table({"metric", "count", "min", "mean", "max", "p50", "p90", "p99",
+               "p99.9"});
+  for (const auto& snapshot : histograms) {
     table.add_row({snapshot.name, std::to_string(snapshot.stats.count),
                    format_double(snapshot.stats.min, 4),
                    format_double(snapshot.stats.mean(), 4),
-                   format_double(snapshot.stats.max, 4)});
-  }
-  return table;
-}
-
-Table histograms_table(
-    const std::vector<obs::HistogramSnapshot>& histograms) {
-  Table table({"metric", "count", "mean", "p50", "p90", "p99", "p99.9"});
-  for (const auto& snapshot : histograms) {
-    table.add_row({snapshot.name, std::to_string(snapshot.stats.count),
-                   format_double(snapshot.stats.mean(), 4),
+                   format_double(snapshot.stats.max, 4),
                    format_double(snapshot.stats.p50, 4),
                    format_double(snapshot.stats.p90, 4),
                    format_double(snapshot.stats.p99, 4),

@@ -66,12 +66,8 @@ Table phase_timing_table(const std::vector<obs::PhaseStat>& summary,
 /// All registered obs counters (name, value), sorted by name.
 Table counters_table(const std::vector<obs::CounterSnapshot>& counters);
 
-/// All registered obs distributions (count/min/mean/max), sorted by name.
-Table distributions_table(
-    const std::vector<obs::DistributionSnapshot>& distributions);
-
-/// All registered obs histograms (count/mean + p50/p90/p99/p99.9),
-/// sorted by name.
+/// All registered obs histograms (count/min/mean/max + p50/p90/p99/
+/// p99.9), sorted by name.
 Table histograms_table(const std::vector<obs::HistogramSnapshot>& histograms);
 
 }  // namespace perspector::core

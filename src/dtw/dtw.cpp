@@ -49,82 +49,8 @@ inline std::size_t row_hi(std::size_t i, std::size_t m, std::size_t w) {
 }
 
 // ---------------------------------------------------------------------------
-// One-pair kernel (dtw_distance), anti-diagonal (wavefront) order.
-//
-// On the anti-diagonal d = i + j all predecessors live on diagonals d-1 and
-// d-2, so the cells of one diagonal are mutually independent and the CPU
-// overlaps them. Each cell evaluates the exact expression the full-table
-// kernel evaluates — local + min{up, left, diag} on the same doubles, only
-// in a different cell *order* — so the distance is bit-identical to
-// dtw_with_path. The path length replays the backtracker's tie-break
-// (diag, then up, then left) forward with the same comparisons, carried as
-// exact small integers in doubles. Only dtw_distance's path_length needs
-// this replay; every distance-only caller takes the batched kernel below.
-//
-// Diagonal buffers are indexed by i; buffer_d[i] = cell (i, d - i).
-// ---------------------------------------------------------------------------
-
-struct KernelOut {
-  double cost;
-  double path_length;
-  std::uint64_t cells;
-};
-
-// In-band cells of diagonal d: i >= 1, j = d - i in [1, m], |2i - d| <= w.
-inline void diagonal_range(std::size_t d, std::size_t n, std::size_t m,
-                           std::size_t w, std::size_t& i_lo,
-                           std::size_t& i_hi) {
-  i_lo = 1;
-  if (d > m) i_lo = std::max(i_lo, d - m);
-  if (d > w) i_lo = std::max(i_lo, (d - w + 1) / 2);
-  i_hi = std::min({n, d - 1, (d + w) / 2});
-}
-
-inline void rotate3(double*& x2, double*& x1, double*& x0) {
-  double* const t = x2;
-  x2 = x1;
-  x1 = x0;
-  x0 = t;
-}
-
-// Predecessor select in the backtracker's preference order (diag, then up,
-// then left). The selected value IS the minimum — diag_best means diag <=
-// both others, else up_best picks min(up, left) — so the cost matches
-// min{up, left, diag} bit for bit, and the length select rides the same
-// conditions.
-KernelOut diagonal_kernel(const double* a, const double* b, std::size_t n,
-                          std::size_t m, std::size_t w, double* c2, double* c1,
-                          double* c0, double* l2, double* l1, double* l0) {
-  std::uint64_t cells = 0;
-  for (std::size_t d = 2; d <= n + m; ++d) {
-    std::size_t i_lo, i_hi;
-    diagonal_range(d, n, m, w, i_lo, i_hi);
-    // The i-range shifts by at most one per diagonal, so later diagonals
-    // only read a buffer inside [i_lo - 1, i_hi + 1]: two sentinel writes
-    // replace a full-buffer infinity fill. They also cover the i = 0 /
-    // j = 0 border cells.
-    c0[i_lo - 1] = kInf;
-    if (i_hi + 1 <= n) c0[i_hi + 1] = kInf;
-    if (i_hi >= i_lo) cells += i_hi - i_lo + 1;
-    for (std::size_t i = i_lo; i <= i_hi; ++i) {
-      const double local = std::abs(a[i - 1] - b[d - i - 1]);
-      const double up = c1[i - 1];    // cost(i-1, j)
-      const double left = c1[i];      // cost(i, j-1)
-      const double diag = c2[i - 1];  // cost(i-1, j-1)
-      const bool diag_best = (diag <= up) & (diag <= left);
-      const bool up_best = up <= left;
-      const double best = diag_best ? diag : (up_best ? up : left);
-      c0[i] = local + best;
-      l0[i] = 1.0 + (diag_best ? l2[i - 1] : (up_best ? l1[i - 1] : l1[i]));
-    }
-    rotate3(c2, c1, c0);
-    rotate3(l2, l1, l0);
-  }
-  return {c1[n], l1[n], cells};
-}
-
-// ---------------------------------------------------------------------------
-// Batched kernel (dtw_distances): one SIMD lane per pair.
+// Batched kernel (dtw_distances, and dtw_distance as a batch of one): one
+// SIMD lane per pair.
 //
 // A batch holds up to kBatchLanes pairs of one shape (n, m, band w). Both
 // series are transposed lane-major — a[i * L + lane] — so lane `lane` of
@@ -240,11 +166,16 @@ __attribute__((target("avx2"))) void batch_kernel_avx2(
 }
 #endif
 
-BatchKernel pick_batch_kernel() {
+// The body for this CPU, picked on first use.
+BatchKernel cpu_batch_kernel() {
 #ifdef PERSPECTOR_DTW_AVX2
-  if (__builtin_cpu_supports("avx2")) return batch_kernel_avx2;
-#endif
+  static const BatchKernel kernel = __builtin_cpu_supports("avx2")
+                                        ? batch_kernel_avx2
+                                        : batch_kernel_scalar;
+  return kernel;
+#else
   return batch_kernel_scalar;
+#endif
 }
 
 // Runs one batch (1..L pairs of one shape) through `kernel`.
@@ -285,60 +216,12 @@ void run_batch(std::span<const SeriesPair> batch, const DtwOptions& options,
 
 }  // namespace
 
-DtwResult dtw_distance(std::span<const double> a, std::span<const double> b,
-                       const DtwOptions& options) {
-  if (a.empty() || b.empty()) {
-    throw std::invalid_argument("dtw: empty series");
-  }
-  const std::size_t n = a.size();
-  const std::size_t m = b.size();
-  const std::size_t w = band_width(n, m, options);
-
-  // Scratch comes from the per-thread pool (src/mem/), so the only
-  // allocation is the first call on each thread.
-  mem::Scratch<double> cost_0(n + 1), cost_1(n + 1), cost_2(n + 1);
-  mem::Scratch<double> len_0(n + 1), len_1(n + 1), len_2(n + 1);
-  double* c2 = cost_2.data();  // diagonal d-2
-  double* c1 = cost_1.data();  // diagonal d-1
-  double* c0 = cost_0.data();  // diagonal d (being written)
-  double* l2 = len_2.data();
-  double* l1 = len_1.data();
-  double* l0 = len_0.data();
-
-  // Diagonal 0 holds only cell (0,0) = 0; diagonal 1 holds the sentinel
-  // cells (0,1) and (1,0) = inf. Scratch contents are unspecified, so the
-  // length buffers are zeroed once: a length slot is only ever *used*
-  // through a finite-cost predecessor, but unreachable in-band cells (all
-  // predecessors infinite) still copy a slot and must not read
-  // indeterminate memory. After the first rotations those slots hold stale
-  // lengths — initialized, deterministic, and dead, since the cost they
-  // travel with stays infinite and the final cell is checked finite.
-  std::fill(c2, c2 + n + 1, kInf);
-  std::fill(c1, c1 + n + 1, kInf);
-  std::fill(l2, l2 + n + 1, 0.0);
-  std::fill(l1, l1 + n + 1, 0.0);
-  std::fill(l0, l0 + n + 1, 0.0);
-  c2[0] = 0.0;
-
-  const KernelOut out =
-      diagonal_kernel(a.data(), b.data(), n, m, w, c2, c1, c0, l2, l1, l0);
-
-  static obs::Counter& calls = obs::counter("dtw.calls");
-  static obs::Counter& cells = obs::counter("dtw.cells");
-  calls.increment();
-  cells.add(out.cells);
-
-  // Cell (n, m) sits on the last diagonal.
-  if (!std::isfinite(out.cost)) {
-    throw std::invalid_argument("dtw: band too narrow to connect endpoints");
-  }
-
-  DtwResult r;
-  r.path_length = static_cast<std::size_t>(out.path_length);
-  r.distance = options.path_normalized && r.path_length > 0
-                   ? out.cost / static_cast<double>(r.path_length)
-                   : out.cost;
-  return r;
+double dtw_distance(std::span<const double> a, std::span<const double> b,
+                    const DtwOptions& options) {
+  const SeriesPair pair{a, b};
+  double distance = 0.0;
+  run_batch({&pair, 1}, options, &distance, cpu_batch_kernel());
+  return distance;
 }
 
 DtwPathResult dtw_with_path(std::span<const double> a,
@@ -353,7 +236,7 @@ DtwPathResult dtw_with_path(std::span<const double> a,
 
   // Full DP table (series here are hundreds of points, memory is fine) with
   // one sentinel row/column of infinity. Only callers that need the warping
-  // path pay for the table; distance-only callers take the rolling kernel
+  // path pay for the table; distance-only callers take the batched kernel
   // above (the dtw.full_table.* counters keep the two paths auditable).
   std::vector<double> cost((n + 1) * (m + 1), kInf);
   auto at = [m](std::size_t i, std::size_t j) -> std::size_t {
@@ -412,13 +295,6 @@ DtwPathResult dtw_with_path(std::span<const double> a,
 std::vector<double> dtw_distances(std::span<const SeriesPair> pairs,
                                   const DtwOptions& options) {
   std::vector<double> distance(pairs.size());
-  if (options.path_normalized) {
-    // The batched kernel keeps no path length; the one-pair kernel does.
-    par::parallel_for(pairs.size(), [&](std::size_t p) {
-      distance[p] = dtw_distance(pairs[p].a, pairs[p].b, options).distance;
-    });
-    return distance;
-  }
   // Batch boundaries: a batch ends after L pairs or before a pair of
   // another shape. They depend only on the input, never on threads.
   std::vector<std::size_t> starts;
@@ -430,7 +306,7 @@ std::vector<double> dtw_distances(std::span<const SeriesPair> pairs,
     }
   }
   starts.push_back(pairs.size());
-  static const BatchKernel kernel = pick_batch_kernel();
+  const BatchKernel kernel = cpu_batch_kernel();
   par::parallel_for(starts.size() - 1, [&](std::size_t k) {
     run_batch(pairs.subspan(starts[k], starts[k + 1] - starts[k]), options,
               distance.data() + starts[k], kernel);
@@ -452,13 +328,13 @@ void detail::dtw_batch_scalar(std::span<const SeriesPair> batch,
   run_batch(batch, options, out, batch_kernel_scalar);
 }
 
-namespace {
-
-// Distances of every (i < j) pair of `series`, in (i asc, j asc) order.
-std::vector<double> upper_pair_distances(
-    const std::vector<std::vector<double>>& series,
-    const DtwOptions& options) {
+double mean_pairwise_dtw(const std::vector<std::vector<double>>& series,
+                         const DtwOptions& options) {
   const std::size_t n = series.size();
+  if (n < 2) {
+    throw std::invalid_argument("mean_pairwise_dtw: need at least 2 series");
+  }
+  obs::Span span("dtw.mean_pairwise");
   static obs::Counter& pair_count = obs::counter("dtw.pairs");
   pair_count.add(n * (n - 1) / 2);
   std::vector<SeriesPair> pairs;
@@ -468,42 +344,14 @@ std::vector<double> upper_pair_distances(
       pairs.push_back({series[i], series[j]});
     }
   }
-  return dtw_distances(pairs, options);
-}
-
-}  // namespace
-
-double mean_pairwise_dtw(const std::vector<std::vector<double>>& series,
-                         const DtwOptions& options) {
-  if (series.size() < 2) {
-    throw std::invalid_argument("mean_pairwise_dtw: need at least 2 series");
-  }
-  obs::Span span("dtw.mean_pairwise");
   // Distances sit in (i asc, j asc) slots and are summed in that order, so
   // the result is bit-identical for any thread count.
-  const std::vector<double> distance = upper_pair_distances(series, options);
+  const std::vector<double> distance = dtw_distances(pairs, options);
   double total = 0.0;
   for (double d : distance) total += d;
   // Eq. 7 sums over ordered pairs and divides by n*(n-1); with a symmetric
   // distance that equals the unordered-pair mean computed here.
   return total / static_cast<double>(distance.size());
-}
-
-la::Matrix pairwise_dtw_matrix(const std::vector<std::vector<double>>& series,
-                               const DtwOptions& options) {
-  const std::size_t n = series.size();
-  la::Matrix d(n, n, 0.0);
-  if (n < 2) return d;
-  obs::Span span("dtw.pairwise_matrix");
-  const std::vector<double> distance = upper_pair_distances(series, options);
-  std::size_t p = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j, ++p) {
-      d(i, j) = distance[p];
-      d(j, i) = distance[p];
-    }
-  }
-  return d;
 }
 
 }  // namespace perspector::dtw

@@ -2,8 +2,10 @@
 //
 // The TrendScore (paper Eq. 7-8) measures pairwise DTW distance between
 // normalized counter time series. Both the exact O(N*M) dynamic program and
-// a Sakoe-Chiba banded variant are provided; warping paths can be extracted
-// for diagnostics.
+// a Sakoe-Chiba banded variant are provided. Distances come from one
+// kernel, the batched one (dtw_distances; dtw_distance is a batch of one
+// pair); dtw_with_path keeps the full table to extract the warping path
+// and is the reference the tests compare that kernel against.
 #pragma once
 
 #include <cstddef>
@@ -12,8 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "la/matrix.hpp"
-
 namespace perspector::dtw {
 
 /// Options for a DTW computation.
@@ -21,27 +21,17 @@ struct DtwOptions {
   /// Sakoe-Chiba band half-width as a fraction of the longer series length;
   /// nullopt means the full (unconstrained) dynamic program.
   std::optional<double> band_fraction;
-  /// When true, the distance is divided by the warping-path length, making
-  /// series of different lengths comparable.
-  bool path_normalized = false;
 };
 
-/// Result of a DTW computation.
-struct DtwResult {
-  double distance = 0.0;       // accumulated |a_i - b_j| along optimal path
-  std::size_t path_length = 0; // number of matched index pairs
-};
-
-/// DTW distance between two series with absolute-difference local cost.
-/// Distance-only rolling kernel: keeps three DP diagonals (plus three
-/// path-length diagonals) in per-thread scratch buffers instead of
-/// materializing the full (n+1)x(m+1) table, and returns distance and path
-/// length bit-identical to dtw_with_path. Callers that need only distances
-/// of many pairs take the faster dtw_distances. Throws
-/// std::invalid_argument if either series is empty, or if the band is too
-/// narrow to connect the corners.
-DtwResult dtw_distance(std::span<const double> a, std::span<const double> b,
-                       const DtwOptions& options = {});
+/// DTW distance between two series with absolute-difference local cost
+/// (the accumulated |a_i - b_j| along the optimal path), bit-identical to
+/// dtw_with_path(a, b, options).distance. Runs the pair as one batch of the
+/// batched kernel, on the calling thread. Callers with many pairs take
+/// dtw_distances, which fills the batch's other lanes. Throws
+/// std::invalid_argument if either series is empty, if band_fraction is
+/// outside [0, 1], or if the band is too narrow to connect the corners.
+double dtw_distance(std::span<const double> a, std::span<const double> b,
+                    const DtwOptions& options = {});
 
 /// Two series whose DTW distance dtw_distances computes.
 struct SeriesPair {
@@ -53,12 +43,13 @@ struct SeriesPair {
 inline constexpr std::size_t kBatchLanes = 16;
 
 /// Distance-only DTW of many pairs: element p is bit-identical to
-/// dtw_distance(pairs[p].a, pairs[p].b, options).distance. Consecutive
+/// dtw_with_path(pairs[p].a, pairs[p].b, options).distance. Consecutive
 /// pairs of one shape (a.size(), b.size()) share a batch of up to
 /// kBatchLanes pairs, each in its own SIMD lane; the batches run as one
 /// parallel region and every distance lands in its pair's slot, so the
-/// result is identical for any thread count. Throws what dtw_distance
-/// would throw for the lowest failing pair.
+/// result is identical for any thread count. Throws std::invalid_argument
+/// for the lowest failing pair: an empty series, a band_fraction outside
+/// [0, 1], or a band too narrow to connect the corners.
 std::vector<double> dtw_distances(std::span<const SeriesPair> pairs,
                                   const DtwOptions& options = {});
 
@@ -84,11 +75,5 @@ DtwPathResult dtw_with_path(std::span<const double> a,
 /// paper's Eq. 7 for a single counter. Requires at least two series.
 double mean_pairwise_dtw(const std::vector<std::vector<double>>& series,
                          const DtwOptions& options = {});
-
-/// Full pairwise DTW distance matrix over a set of series (symmetric, zero
-/// diagonal). The cache layer (core::ScoringWorkspace) computes this once
-/// per counter and slices sub-matrices for subset/resample scoring.
-la::Matrix pairwise_dtw_matrix(const std::vector<std::vector<double>>& series,
-                               const DtwOptions& options = {});
 
 }  // namespace perspector::dtw

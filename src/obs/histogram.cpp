@@ -39,8 +39,8 @@ void Histogram::record(double value) noexcept {
                                      std::memory_order_relaxed)) {
   }
   if (n == 0) {
-    // Same seeding discipline as Distribution::record: racing first
-    // samples settle in the CAS loops below.
+    // The first sample seeds min/max; racing first samples settle in the
+    // CAS loops below because both contenders run them.
     min_.store(value, std::memory_order_relaxed);
     max_.store(value, std::memory_order_relaxed);
   }

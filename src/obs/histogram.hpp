@@ -1,15 +1,15 @@
 // Log-bucketed latency histograms with bounded relative error.
 //
-// An obs::Histogram complements obs::Distribution: the distribution keeps
-// exact count/min/max/sum, the histogram keeps the whole shape so p50/p90/
-// p99/p99.9 can be extracted after the fact. Buckets are HDR-style: each
+// An obs::Histogram keeps exact count/min/max/sum and the whole shape of
+// the samples, so p50/p90/p99/p99.9 can be extracted after the fact; it is
+// the registry's one latency recorder. Buckets are HDR-style: each
 // power-of-two octave is split into kSubBuckets linear sub-buckets, so the
 // representative value of any bucket is within ~1/(2*kSubBuckets) relative
 // error of every sample that landed there.
 //
 // record() is wait-free on the bucket path (one relaxed fetch_add on a
 // uint64 cell, matching the Counter discipline); the min/max/sum side
-// carries the same lock-free CAS loops Distribution uses. Percentiles are
+// is kept by lock-free CAS loops on atomic doubles. Percentiles are
 // computed from a bucket snapshot with a deterministic rank rule, so two
 // histograms fed the same multiset of samples report bit-identical
 // percentiles regardless of arrival order or thread count.
@@ -96,10 +96,9 @@ double bucket_percentile(const std::uint64_t* buckets, int bucket_count,
                          double q) noexcept;
 
 /// RAII scope timer recording elapsed wall microseconds into a Histogram
-/// on destruction, and optionally mirroring the sample into a legacy
-/// Distribution so existing count/min/max/sum consumers keep working.
-/// Like DistributionTimer this is always on — histograms are cheap enough
-/// to leave in the serving path permanently. The clock reads live in this
+/// on destruction. Unlike a trace Span it is always on — histograms are
+/// cheap enough to leave in the serving path permanently, and it survives
+/// --metrics-only runs where the tracer stays disabled. The clock reads live in this
 /// header (src/obs is det-clock allowlisted) so callers in ranked layers
 /// stay free of raw clock tokens.
 class LatencyTimer {
@@ -107,16 +106,9 @@ class LatencyTimer {
   // The construction-time clock read feeds the latency histogram only;
   // no scored value is derived from it.
   // lint:seam(det-taint): latency samples never feed a score
-  explicit LatencyTimer(Histogram& histogram,
-                        Distribution* mirror = nullptr) noexcept
-      : histogram_(histogram),
-        mirror_(mirror),
-        start_(std::chrono::steady_clock::now()) {}
-  ~LatencyTimer() {
-    const double us = elapsed_us();
-    histogram_.record(us);
-    if (mirror_ != nullptr) mirror_->record(us);
-  }
+  explicit LatencyTimer(Histogram& histogram) noexcept
+      : histogram_(histogram), start_(std::chrono::steady_clock::now()) {}
+  ~LatencyTimer() { histogram_.record(elapsed_us()); }
 
   /// Microseconds since construction (for callers that want to branch on
   /// the latency — e.g. slow-request logging — without reading a clock).
@@ -130,12 +122,11 @@ class LatencyTimer {
 
  private:
   Histogram& histogram_;
-  Distribution* mirror_;
   std::chrono::steady_clock::time_point start_;
 };
 
 /// Returns the histogram registered under `name`, creating it on first
-/// use. Same lifetime contract as counter()/distribution().
+/// use. Same lifetime contract as counter().
 Histogram& histogram(std::string_view name);
 
 /// Point-in-time snapshot of one named histogram.

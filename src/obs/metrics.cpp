@@ -12,14 +12,12 @@ namespace perspector::obs {
 namespace {
 
 // Nodes are heap-allocated and never destroyed while the process lives, so
-// references handed out by counter()/distribution()/histogram() stay valid
+// references handed out by counter()/histogram() stay valid
 // even as the map rehashes. transparent less<> lets string_view probe
 // without allocating.
 struct Registry {
   std::mutex mutex;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
-  std::map<std::string, std::unique_ptr<Distribution>, std::less<>>
-      distributions;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
 };
 
@@ -31,64 +29,12 @@ Registry& registry() {
 
 }  // namespace
 
-void Distribution::record(double value) noexcept {
-  const std::uint64_t n = count_.fetch_add(1, std::memory_order_relaxed);
-
-  double sum = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(sum, sum + value,
-                                     std::memory_order_relaxed)) {
-  }
-
-  if (n == 0) {
-    // First sample seeds min/max; racing first samples settle in the CAS
-    // loops below because both contenders run them.
-    min_.store(value, std::memory_order_relaxed);
-    max_.store(value, std::memory_order_relaxed);
-  }
-  double lo = min_.load(std::memory_order_relaxed);
-  while (value < lo &&
-         !min_.compare_exchange_weak(lo, value, std::memory_order_relaxed)) {
-  }
-  double hi = max_.load(std::memory_order_relaxed);
-  while (value > hi &&
-         !max_.compare_exchange_weak(hi, value, std::memory_order_relaxed)) {
-  }
-}
-
-DistributionStats Distribution::stats() const noexcept {
-  DistributionStats s;
-  s.count = count_.load(std::memory_order_relaxed);
-  s.sum = sum_.load(std::memory_order_relaxed);
-  s.min = min_.load(std::memory_order_relaxed);
-  s.max = max_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void Distribution::reset() noexcept {
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-}
-
 Counter& counter(std::string_view name) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mutex);
   auto it = r.counters.find(name);
   if (it == r.counters.end()) {
     it = r.counters.emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-  }
-  return *it->second;
-}
-
-Distribution& distribution(std::string_view name) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  auto it = r.distributions.find(name);
-  if (it == r.distributions.end()) {
-    it = r.distributions
-             .emplace(std::string(name), std::make_unique<Distribution>())
              .first;
   }
   return *it->second;
@@ -116,17 +62,6 @@ std::vector<CounterSnapshot> counters_snapshot() {
   return out;
 }
 
-std::vector<DistributionSnapshot> distributions_snapshot() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<DistributionSnapshot> out;
-  out.reserve(r.distributions.size());
-  for (const auto& [name, d] : r.distributions) {
-    out.push_back({name, d->stats()});
-  }
-  return out;
-}
-
 std::vector<HistogramSnapshot> histograms_snapshot() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mutex);
@@ -142,7 +77,6 @@ void reset_metrics() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mutex);
   for (auto& [name, c] : r.counters) c->reset();
-  for (auto& [name, d] : r.distributions) d->reset();
   for (auto& [name, h] : r.histograms) h->reset();
 }
 

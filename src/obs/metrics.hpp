@@ -1,4 +1,5 @@
-// Named metrics: monotonic counters and value distributions.
+// Named metrics: monotonic counters (and, in obs/histogram.hpp, latency
+// histograms).
 //
 // The registry hands out references that stay valid for the life of the
 // process, so hot paths pay the name lookup once:
@@ -7,13 +8,11 @@
 //   cells.add(visited);
 //
 // Registration takes a mutex; the increment itself is a single relaxed
-// atomic add (counters) or a handful of CAS loops (distributions), so
-// instrumentation can live inside kernels permanently. Prefer one bulk
-// add per call over per-element increments.
+// atomic add, so instrumentation can live inside kernels permanently.
+// Prefer one bulk add per call over per-element increments.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -37,60 +36,9 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Summary statistics over recorded samples.
-struct DistributionStats {
-  std::uint64_t count = 0;
-  double min = 0.0;
-  double max = 0.0;
-  double sum = 0.0;
-  double mean() const { return count ? sum / static_cast<double>(count) : 0.0; }
-};
-
-/// Value distribution tracking count/min/max/sum without locks: min, max
-/// and sum are maintained with CAS loops on atomic doubles.
-class Distribution {
- public:
-  void record(double value) noexcept;
-  DistributionStats stats() const noexcept;
-  void reset() noexcept;
-
- private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
-};
-
-/// RAII scope timer feeding a Distribution: records the elapsed wall time
-/// in microseconds on destruction. Unlike a trace Span this is always on
-/// (distributions are cheap) and survives --metrics-only runs where the
-/// tracer stays disabled — the serving layer uses it for request latency.
-class DistributionTimer {
- public:
-  explicit DistributionTimer(Distribution& distribution) noexcept
-      : distribution_(distribution),
-        start_(std::chrono::steady_clock::now()) {}
-  ~DistributionTimer() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    distribution_.record(
-        std::chrono::duration<double, std::micro>(elapsed).count());
-  }
-
-  DistributionTimer(const DistributionTimer&) = delete;
-  DistributionTimer& operator=(const DistributionTimer&) = delete;
-
- private:
-  Distribution& distribution_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// Returns the counter registered under `name`, creating it on first use.
 /// The reference is valid for the remainder of the process.
 Counter& counter(std::string_view name);
-
-/// Returns the distribution registered under `name`, creating it on first
-/// use. The reference is valid for the remainder of the process.
-Distribution& distribution(std::string_view name);
 
 /// Point-in-time snapshot of one named counter.
 struct CounterSnapshot {
@@ -98,20 +46,11 @@ struct CounterSnapshot {
   std::uint64_t value = 0;
 };
 
-/// Point-in-time snapshot of one named distribution.
-struct DistributionSnapshot {
-  std::string name;
-  DistributionStats stats;
-};
-
 /// All registered counters, sorted by name. Zero-valued counters are
 /// included — registration implies intent to report.
 std::vector<CounterSnapshot> counters_snapshot();
 
-/// All registered distributions, sorted by name.
-std::vector<DistributionSnapshot> distributions_snapshot();
-
-/// Resets every registered counter, distribution and histogram to zero
+/// Resets every registered counter and histogram to zero
 /// (test helper; registrations themselves are kept). Histograms live in
 /// obs/histogram.hpp but share this registry.
 void reset_metrics();

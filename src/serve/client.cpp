@@ -133,9 +133,6 @@ bool report_response(const std::string& line, std::ostream& out,
           << static_cast<std::uint64_t>(value.is_number() ? value.number : 0)
           << "\n";
     }
-    if (const json::Value* distributions = response.find("distributions")) {
-      print_stat_object(out, *distributions);
-    }
     if (const json::Value* histograms = response.find("histograms")) {
       print_stat_object(out, *histograms);
     }

@@ -10,9 +10,9 @@
 //     CLI), per-response status (cache hit/miss, trace id, errors) to
 //     `err`;
 //   * metrics responses print one "name value" line per counter plus
-//     "name.field value" lines for distribution and histogram stats to
-//     `out` (the CI smoke test greps serve.cache_hit and
-//     serve.request_us.count from this);
+//     "name.field value" lines for histogram stats to `out` (the CI smoke
+//     test greps serve.cache_hit and serve.request.latency.count from
+//     this);
 //   * stats responses print "name.p50 value" etc. for every histogram.
 //
 // Returns 0 when every response was ok, 3 when the server answered at

@@ -65,10 +65,6 @@ obs::Counter& mutations_counter() {
   static obs::Counter& c = obs::counter("serve.mutations");
   return c;
 }
-obs::Distribution& request_latency() {
-  static obs::Distribution& d = obs::distribution("serve.request_us");
-  return d;
-}
 obs::Histogram& request_latency_histogram() {
   static obs::Histogram& h = obs::histogram("serve.request.latency");
   return h;
@@ -310,7 +306,7 @@ ScoreResponse Engine::score(const ScoreRequest& request) {
   obs::Span span("serve.request");
   // One sample feeds both the histogram (percentiles via the stats op)
   // and the legacy count/min/max/sum distribution.
-  obs::LatencyTimer timer(request_latency_histogram(), &request_latency());
+  obs::LatencyTimer timer(request_latency_histogram());
   ScoreResponse response = score_inner(request);
   response.trace_id = request.trace_id;
   if (obs::Logger::instance().enabled(obs::LogLevel::kDebug)) {
@@ -577,7 +573,7 @@ MutateResponse Engine::rescore_locked(const MutateRequest& request,
 
 MutateResponse Engine::mutate(const MutateRequest& request) {
   obs::Span span("serve.mutate");
-  obs::LatencyTimer timer(request_latency_histogram(), &request_latency());
+  obs::LatencyTimer timer(request_latency_histogram());
   MutateResponse response = mutate_inner(request);
   response.trace_id = request.trace_id;
   if (obs::Logger::instance().enabled(obs::LogLevel::kDebug)) {

@@ -46,9 +46,8 @@
 //
 // Counters: serve.requests, serve.cache_hit, serve.cache_miss,
 // serve.durable_hit, serve.coalesced, serve.batched, serve.errors,
-// serve.cache_evictions, plus the serve.request_us latency distribution
-// and its serve.request.latency histogram (p50/p90/p99/p99.9 via the
-// stats op).
+// serve.cache_evictions, plus the serve.request.latency histogram
+// (count/min/max/sum and p50/p90/p99/p99.9 via the stats op).
 #pragma once
 
 #include <cstdint>

@@ -664,11 +664,7 @@ std::string serialize_metrics(const std::string& id) {
   for (const auto& snapshot : obs::counters_snapshot()) {
     counters.emplace(snapshot.name, snapshot.value);
   }
-  std::map<std::string, obs::DistributionStats> distributions;
-  for (const auto& snapshot : obs::distributions_snapshot()) {
-    distributions.emplace(snapshot.name, snapshot.stats);
-  }
-  return serialize_metrics_merged(id, counters, distributions);
+  return serialize_metrics_merged(id, counters);
 }
 
 std::string serialize_stats(const std::string& id,
@@ -1009,8 +1005,7 @@ std::string serialize_shard_stats(const std::string& id,
 
 std::string serialize_metrics_merged(
     const std::string& id,
-    const std::map<std::string, std::uint64_t>& counters,
-    const std::map<std::string, obs::DistributionStats>& distributions) {
+    const std::map<std::string, std::uint64_t>& counters) {
   std::string out = "{";
   append_id(out, id);
   out += "\"ok\":true,\"counters\":{";
@@ -1021,24 +1016,6 @@ std::string serialize_metrics_merged(
     json::append_quoted(out, name);
     out += ':';
     append_u64(out, value);
-  }
-  out += "},\"distributions\":{";
-  first = true;
-  for (const auto& [name, stats] : distributions) {
-    if (!first) out += ',';
-    first = false;
-    json::append_quoted(out, name);
-    out += ":{\"count\":";
-    append_u64(out, stats.count);
-    out += ",\"min\":";
-    append_double(out, stats.min);
-    out += ",\"max\":";
-    append_double(out, stats.max);
-    out += ",\"sum\":";
-    append_double(out, stats.sum);
-    out += ",\"mean\":";
-    append_double(out, stats.mean());
-    out += '}';
   }
   out += "},";
   append_histograms(out);

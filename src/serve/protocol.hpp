@@ -59,7 +59,6 @@
 //   {"id":"1","ok":false,"error":"overloaded","message":"..."}
 //   {"ok":true,"pong":true}                                   (ping)
 //   {"ok":true,"counters":{"serve.cache_hit":2,...},
-//    "distributions":{"serve.request_us":{"count":3,...}},
 //    "histograms":{"serve.request.latency":{"p50":...,...}}}  (metrics)
 //   {"ok":true,"histograms":{"serve.request.latency":
 //    {"count":3,"min":...,"max":...,"mean":...,
@@ -71,6 +70,11 @@
 // `resident` is the single-process engine's memory: the result cache's
 // bytes and each resident live suite's ScoringWorkspace bytes. A router
 // omits it (its workers hold the suites).
+//
+// Behind a router, `metrics` sums the workers' counters into the
+// router's own, but its histograms are the router's alone: request
+// latency there is router.forward.latency, and the workers'
+// serve.request.latency is not carried (histograms do not merge).
 //
 // `trace` is the request's 64-bit trace id (16 hex digits), assigned by
 // the server at admission; it also appears in slow-request log lines so
@@ -107,7 +111,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "serve/backend.hpp"
 
 namespace perspector::serve {
@@ -272,13 +275,12 @@ std::string serialize_shard_stats(const std::string& id,
                                   const std::string& mode,
                                   const std::vector<WorkerStat>& workers);
 
-/// The metrics response built from pre-merged counter/distribution maps
-/// (the Router sums its workers' registries into these) plus the *local*
-/// histogram registry — histogram percentile sketches do not merge.
+/// The metrics response built from a pre-merged counter map (the Router
+/// sums its workers' counters into it) plus the *local* histogram
+/// registry — histogram percentile sketches do not merge.
 std::string serialize_metrics_merged(
     const std::string& id,
-    const std::map<std::string, std::uint64_t>& counters,
-    const std::map<std::string, obs::DistributionStats>& distributions);
+    const std::map<std::string, std::uint64_t>& counters);
 
 /// Worker handshake: the first line a worker writes after fork, so the
 /// router knows the channel is live before routing to it.

@@ -668,16 +668,12 @@ Key128 Router::content_key(const ScoreRequest& request) {
 
 std::string Router::metrics_line(const std::string& id) {
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, obs::DistributionStats> distributions;
   for (const auto& snapshot : obs::counters_snapshot()) {
     counters[snapshot.name] += snapshot.value;
   }
-  for (const auto& snapshot : obs::distributions_snapshot()) {
-    distributions[snapshot.name] = snapshot.stats;
-  }
-  // Fold in every worker's registry: counters sum; distributions merge
-  // exactly because the wire carries count/min/max/sum. Histogram
-  // sketches do not merge — the histograms section stays router-local.
+  // Fold in every worker's counters: they sum. Histogram sketches do not
+  // merge, so the histograms section stays router-local: request latency
+  // behind a router is its own router.forward.latency.
   const std::string request_line = serialize_control_request(Op::Metrics);
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     std::string response_line;
@@ -697,33 +693,8 @@ std::string Router::metrics_line(const std::string& id) {
         }
       }
     }
-    if (const json::Value* object = reply.find("distributions");
-        object && object->is_object()) {
-      for (const auto& [name, value] : object->members) {
-        const json::Value* count = value.find("count");
-        const json::Value* min = value.find("min");
-        const json::Value* max = value.find("max");
-        const json::Value* sum = value.find("sum");
-        if (!count || !min || !max || !sum) continue;
-        obs::DistributionStats incoming;
-        incoming.count = static_cast<std::uint64_t>(count->number);
-        incoming.min = min->number;
-        incoming.max = max->number;
-        incoming.sum = sum->number;
-        if (incoming.count == 0) continue;
-        obs::DistributionStats& merged = distributions[name];
-        if (merged.count == 0) {
-          merged = incoming;
-        } else {
-          merged.min = std::min(merged.min, incoming.min);
-          merged.max = std::max(merged.max, incoming.max);
-          merged.sum += incoming.sum;
-          merged.count += incoming.count;
-        }
-      }
-    }
   }
-  return serialize_metrics_merged(id, counters, distributions);
+  return serialize_metrics_merged(id, counters);
 }
 
 std::string Router::stats_line(const std::string& id) {

@@ -18,23 +18,23 @@ TEST(Dtw, RejectsEmptySeries) {
 
 TEST(Dtw, IdenticalSeriesZeroDistance) {
   const std::vector<double> a{1.0, 2.0, 3.0, 2.0, 1.0};
-  const DtwResult r = dtw_distance(a, a);
-  EXPECT_DOUBLE_EQ(r.distance, 0.0);
-  EXPECT_EQ(r.path_length, a.size());
+  EXPECT_DOUBLE_EQ(dtw_distance(a, a), 0.0);
+  // The optimal path of a series against itself is the diagonal.
+  EXPECT_EQ(dtw_with_path(a, a).path.size(), a.size());
 }
 
 TEST(Dtw, SingleElementSeries) {
   const std::vector<double> a{3.0};
   const std::vector<double> b{1.0, 2.0, 5.0};
   // Every element of b matches the single element of a.
-  EXPECT_DOUBLE_EQ(dtw_distance(a, b).distance, 2.0 + 1.0 + 2.0);
+  EXPECT_DOUBLE_EQ(dtw_distance(a, b), 2.0 + 1.0 + 2.0);
 }
 
 TEST(Dtw, KnownSmallCase) {
   // a = [0, 0, 1], b = [0, 1, 1]: warping aligns the step, cost 0.
   const std::vector<double> a{0.0, 0.0, 1.0};
   const std::vector<double> b{0.0, 1.0, 1.0};
-  EXPECT_DOUBLE_EQ(dtw_distance(a, b).distance, 0.0);
+  EXPECT_DOUBLE_EQ(dtw_distance(a, b), 0.0);
 }
 
 TEST(Dtw, ShiftedStepAlignsCheaply) {
@@ -45,15 +45,15 @@ TEST(Dtw, ShiftedStepAlignsCheaply) {
   for (std::size_t i = 7; i < 10; ++i) b[i] = 1.0;
   double pointwise = 0.0;
   for (std::size_t i = 0; i < 10; ++i) pointwise += std::abs(a[i] - b[i]);
-  const double warped = dtw_distance(a, b).distance;
+  const double warped = dtw_distance(a, b);
   EXPECT_LT(warped, pointwise);
 }
 
 TEST(Dtw, SymmetricDistance) {
   const std::vector<double> a{1.0, 3.0, 2.0, 5.0};
   const std::vector<double> b{2.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(dtw_distance(a, b).distance,
-                   dtw_distance(b, a).distance);
+  EXPECT_DOUBLE_EQ(dtw_distance(a, b),
+                   dtw_distance(b, a));
 }
 
 TEST(Dtw, PathEndpointsAndMonotonicity) {
@@ -90,8 +90,8 @@ TEST(Dtw, BandedMatchesFullWhenWide) {
   for (double& v : b) v = rng.uniform();
   DtwOptions wide;
   wide.band_fraction = 1.0;
-  EXPECT_DOUBLE_EQ(dtw_distance(a, b).distance,
-                   dtw_distance(a, b, wide).distance);
+  EXPECT_DOUBLE_EQ(dtw_distance(a, b),
+                   dtw_distance(a, b, wide));
 }
 
 TEST(Dtw, BandedIsUpperBoundedByFull) {
@@ -102,8 +102,8 @@ TEST(Dtw, BandedIsUpperBoundedByFull) {
   DtwOptions narrow;
   narrow.band_fraction = 0.05;
   // Constraining the warp can only increase the cost.
-  EXPECT_GE(dtw_distance(a, b, narrow).distance,
-            dtw_distance(a, b).distance - 1e-12);
+  EXPECT_GE(dtw_distance(a, b, narrow),
+            dtw_distance(a, b) - 1e-12);
 }
 
 TEST(Dtw, BandCoversLengthDifference) {
@@ -120,17 +120,6 @@ TEST(Dtw, InvalidBandFractionThrows) {
   DtwOptions bad;
   bad.band_fraction = 1.5;
   EXPECT_THROW(dtw_distance(a, a, bad), std::invalid_argument);
-}
-
-TEST(Dtw, PathNormalizedDividesByLength) {
-  const std::vector<double> a{0.0, 0.0, 0.0};
-  const std::vector<double> b{1.0, 1.0, 1.0};
-  DtwOptions norm;
-  norm.path_normalized = true;
-  const DtwResult plain = dtw_distance(a, b);
-  const DtwResult normalized = dtw_distance(a, b, norm);
-  EXPECT_DOUBLE_EQ(plain.distance, 3.0);
-  EXPECT_DOUBLE_EQ(normalized.distance, 1.0);
 }
 
 TEST(MeanPairwiseDtw, RequiresTwoSeries) {
@@ -156,7 +145,7 @@ TEST_P(DtwUpperBound, NeverExceedsPointwiseL1) {
   for (double& v : b) v = rng.uniform(0.0, 10.0);
   double l1 = 0.0;
   for (std::size_t i = 0; i < 30; ++i) l1 += std::abs(a[i] - b[i]);
-  EXPECT_LE(dtw_distance(a, b).distance, l1 + 1e-12);
+  EXPECT_LE(dtw_distance(a, b), l1 + 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DtwUpperBound,

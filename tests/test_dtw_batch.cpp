@@ -200,15 +200,6 @@ TEST(DtwBatch, CountsRealPairsAndTheirBandCells) {
   EXPECT_EQ(full_calls.value(), full_calls_before);
 }
 
-TEST(DtwBatch, PathNormalizedMatchesOnePairKernel) {
-  const auto a = random_series(61, 40);
-  const auto b = random_series(62, 33);
-  DtwOptions norm;
-  norm.path_normalized = true;
-  const std::vector<double> d = dtw_distances(std::vector<SeriesPair>{{a, b}}, norm);
-  EXPECT_EQ(bits(d[0]), bits(dtw_distance(a, b, norm).distance));
-}
-
 TEST(DtwBatch, ErrorsMatchOnePairKernel) {
   const std::vector<double> empty;
   const auto a = random_series(71, 10);

@@ -1,5 +1,5 @@
-// obs metrics: counter registry identity, accumulation, distribution
-// statistics, snapshots, reset, and concurrent updates.
+// obs metrics: counter registry identity, accumulation, snapshots, reset,
+// and concurrent updates.
 //
 // The registry is process-wide, so tests use unique metric names and
 // avoid asserting on the global registry size.
@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <thread>
 #include <vector>
+
+#include "obs/histogram.hpp"
 
 namespace perspector::obs {
 namespace {
@@ -69,112 +71,16 @@ TEST(MetricsCounter, ConcurrentAddsAreLossless) {
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kAddsPerThread);
 }
 
-TEST(MetricsDistribution, StatsTrackCountMinMaxMean) {
-  Distribution& d = distribution("test.dist.basic");
-  d.reset();
-  d.record(2.0);
-  d.record(8.0);
-  d.record(5.0);
-
-  const auto stats = d.stats();
-  EXPECT_EQ(stats.count, 3u);
-  EXPECT_DOUBLE_EQ(stats.min, 2.0);
-  EXPECT_DOUBLE_EQ(stats.max, 8.0);
-  EXPECT_DOUBLE_EQ(stats.sum, 15.0);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-}
-
-TEST(MetricsDistribution, EmptyDistributionHasZeroMean) {
-  Distribution& d = distribution("test.dist.empty");
-  d.reset();
-  const auto stats = d.stats();
-  EXPECT_EQ(stats.count, 0u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 0.0);
-}
-
-TEST(MetricsDistribution, NegativeValuesHandled) {
-  Distribution& d = distribution("test.dist.negative");
-  d.reset();
-  d.record(-3.0);
-  d.record(-1.0);
-  const auto stats = d.stats();
-  EXPECT_DOUBLE_EQ(stats.min, -3.0);
-  EXPECT_DOUBLE_EQ(stats.max, -1.0);
-  EXPECT_DOUBLE_EQ(stats.mean(), -2.0);
-}
-
-TEST(MetricsDistribution, ConcurrentRecordsKeepExtremaAndCount) {
-  Distribution& d = distribution("test.dist.concurrent");
-  d.reset();
-  constexpr int kThreads = 8;
-  constexpr int kRecordsPerThread = 2000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&d, t] {
-      for (int i = 0; i < kRecordsPerThread; ++i) {
-        d.record(static_cast<double>(t * kRecordsPerThread + i));
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-
-  const auto stats = d.stats();
-  const auto total = static_cast<std::uint64_t>(kThreads) * kRecordsPerThread;
-  EXPECT_EQ(stats.count, total);
-  EXPECT_DOUBLE_EQ(stats.min, 0.0);
-  EXPECT_DOUBLE_EQ(stats.max, static_cast<double>(total - 1));
-  // Sum of 0..total-1.
-  EXPECT_DOUBLE_EQ(stats.sum,
-                   static_cast<double>(total - 1) * static_cast<double>(total) /
-                       2.0);
-}
-
 TEST(MetricsRegistry, ResetMetricsZeroesEverything) {
   Counter& c = counter("test.reset.counter");
-  Distribution& d = distribution("test.reset.dist");
+  Histogram& h = histogram("test.reset.histogram");
   c.add(7);
-  d.record(3.0);
+  h.record(3.0);
 
   reset_metrics();
   EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(d.stats().count, 0u);
-  EXPECT_DOUBLE_EQ(d.stats().sum, 0.0);
-}
-
-TEST(MetricsRegistry, DistributionSnapshotIncludesStats) {
-  Distribution& d = distribution("test.dist.snapshot");
-  d.reset();
-  d.record(1.0);
-  d.record(3.0);
-
-  const auto snapshot = distributions_snapshot();
-  const auto it = std::find_if(snapshot.begin(), snapshot.end(),
-                               [](const DistributionSnapshot& s) {
-                                 return s.name == "test.dist.snapshot";
-                               });
-  ASSERT_NE(it, snapshot.end());
-  EXPECT_EQ(it->stats.count, 2u);
-  EXPECT_DOUBLE_EQ(it->stats.mean(), 2.0);
-}
-
-TEST(MetricsDistributionTimer, RecordsElapsedMicrosecondsOnDestruction) {
-  Distribution& d = distribution("test.dist.timer");
-  d.reset();
-  {
-    DistributionTimer timer(d);
-    // Nothing recorded while the scope is still open.
-    EXPECT_EQ(d.stats().count, 0u);
-  }
-  {
-    DistributionTimer timer(d);
-  }
-  const auto stats = d.stats();
-  EXPECT_EQ(stats.count, 2u);
-  // Elapsed time is non-negative and plausibly small (well under a
-  // minute even on a loaded CI machine).
-  EXPECT_GE(stats.min, 0.0);
-  EXPECT_LT(stats.max, 60.0e6);
+  EXPECT_EQ(h.stats().count, 0u);
+  EXPECT_DOUBLE_EQ(h.stats().sum, 0.0);
 }
 
 }  // namespace

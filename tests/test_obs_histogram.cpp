@@ -211,9 +211,28 @@ TEST(ObsHistogram, RegistryReturnsStableReferences) {
   ASSERT_NE(it, snapshot.end());
   EXPECT_EQ(it->stats.count, 1u);
 
-  // reset_metrics zeroes histograms alongside counters/distributions.
+  // reset_metrics zeroes histograms alongside counters.
   reset_metrics();
   EXPECT_EQ(histogram("test.histo.registry").stats().count, 0u);
+}
+
+TEST(ObsHistogram, LatencyTimerRecordsElapsedMicrosecondsOnDestruction) {
+  Histogram& h = histogram("test.histo.timer");
+  h.reset();
+  {
+    LatencyTimer timer(h);
+    // Nothing recorded while the scope is still open.
+    EXPECT_EQ(h.stats().count, 0u);
+  }
+  {
+    LatencyTimer timer(h);
+  }
+  const HistogramStats stats = h.stats();
+  EXPECT_EQ(stats.count, 2u);
+  // Elapsed time is non-negative and plausibly small (well under a
+  // minute even on a loaded CI machine).
+  EXPECT_GE(stats.min, 0.0);
+  EXPECT_LT(stats.max, 60.0e6);
 }
 
 TEST(ObsHistogram, SnapshotSortedByName) {

@@ -58,6 +58,15 @@ std::uint64_t counter_value(const std::string& line, const std::string& name) {
   return std::stoull(line.substr(at + key.size()));
 }
 
+// The count of one histogram in a metrics line; 0 if it is not there yet.
+std::uint64_t histogram_count(const std::string& line,
+                              const std::string& name) {
+  const std::string key = "\"" + name + "\":{\"count\":";
+  const auto at = line.find(key);
+  if (at == std::string::npos) return 0;
+  return std::stoull(line.substr(at + key.size()));
+}
+
 void pause_ms(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
@@ -259,6 +268,9 @@ TEST(Router, MetricsLineMergesWorkerRegistries) {
   EXPECT_EQ(counter_value(line, "router.forwarded"),
             counter_value(before, "router.forwarded") + 2);
   EXPECT_NE(line.find("\"serve.requests\""), std::string::npos);
+  // Request latency behind a router is the router's own forward timer.
+  EXPECT_EQ(histogram_count(line, "router.forward.latency"),
+            histogram_count(before, "router.forward.latency") + 2);
 }
 
 TEST(Router, BatchMatchesSequentialScoring) {

@@ -90,7 +90,7 @@ TEST(NormalizeTrend, TwoFlatSeriesAtDifferentLevelsAreEquivalent) {
   const std::vector<double> high(40, 5000.0);
   const auto a = normalize_trend(low);
   const auto b = normalize_trend(high);
-  EXPECT_DOUBLE_EQ(dtw::dtw_distance(a, b).distance, 0.0);
+  EXPECT_DOUBLE_EQ(dtw::dtw_distance(a, b), 0.0);
 }
 
 TEST(NormalizeTrend, CumulativeShareIsMonotone) {

@@ -770,10 +770,6 @@ void emit_observability(const Args& args) {
   if (metrics) {
     std::cout << "\n--- pipeline metrics ---\n"
               << core::counters_table(obs::counters_snapshot()).to_text();
-    const auto distributions = obs::distributions_snapshot();
-    if (!distributions.empty()) {
-      std::cout << "\n" << core::distributions_table(distributions).to_text();
-    }
     const auto histograms = obs::histograms_snapshot();
     if (!histograms.empty()) {
       std::cout << "\n" << core::histograms_table(histograms).to_text();

@@ -9,7 +9,7 @@
 #      (client-side streamed ingest) and require byte-identical reports;
 #   4. assert via the metrics op that the second round was served from
 #      the result cache (serve.cache_hit >= 2) and that the request
-#      latency distribution and histogram were populated;
+#      latency histogram counted every scored request;
 #   5. assert via the stats op that serve.request.latency reports a
 #      positive p99;
 #   6. SIGTERM the server and assert it drains and exits 0.
@@ -250,12 +250,12 @@ if [ "${HITS:-0}" -lt 2 ]; then
   exit 1
 fi
 
-# The latency distribution must have counted every scored request.
-DIST_COUNT=$(awk '$1 == "serve.request_us.count" { print $2 }' "$METRICS")
+# The latency histogram must have counted every scored request.
+LATENCY_COUNT=$(awk '$1 == "serve.request.latency.count" { print $2 }' "$METRICS")
 rm -f "$METRICS"
-echo "serve.request_us.count = ${DIST_COUNT:-0}"
-if [ "${DIST_COUNT:-0}" -lt 4 ]; then
-  echo "FAIL: request latency distribution missing from metrics" >&2
+echo "serve.request.latency.count = ${LATENCY_COUNT:-0}"
+if [ "${LATENCY_COUNT:-0}" -lt 4 ]; then
+  echo "FAIL: request latency histogram missing from metrics" >&2
   exit 1
 fi
 
