@@ -125,7 +125,7 @@ struct Parser {
 
   double parse_number() {
     const std::size_t start = pos;
-    if (!eof() && (peek() == '-' || peek() == '+')) ++pos;
+    if (!eof() && peek() == '-') ++pos;
     while (!eof() && ((peek() >= '0' && peek() <= '9') || peek() == '.' ||
                       peek() == 'e' || peek() == 'E' || peek() == '-' ||
                       peek() == '+')) {
@@ -134,8 +134,7 @@ struct Parser {
     const char* first = text.data() + start;
     const char* last = text.data() + pos;
     // from_chars is laxer than JSON: disallow leading zeros ("01") here.
-    const char* digits =
-        first != last && (*first == '-' || *first == '+') ? first + 1 : first;
+    const char* digits = first != last && *first == '-' ? first + 1 : first;
     if (last - digits >= 2 && digits[0] == '0' && digits[1] >= '0' &&
         digits[1] <= '9') {
       pos = start;
@@ -219,6 +218,9 @@ struct Parser {
       value.type = Value::Type::Null;
       return value;
     }
+    // A JSON number starts with '-' or a digit; anything else starts no
+    // value at all.
+    if (ch != '-' && (ch < '0' || ch > '9')) fail("unexpected character");
     value.type = Value::Type::Number;
     value.number = parse_number();
     return value;

@@ -204,6 +204,18 @@ TEST(ServeProtocol, ParsesInlineCsvRequest) {
 TEST(ServeProtocol, BadRequestsAreStructuredNotThrown) {
   EXPECT_EQ(parse_request_line("not json").error, "bad_request");
   EXPECT_EQ(parse_request_line("[1,2]").error, "bad_request");
+  // Only '-' or a digit starts a number; any other byte that starts no
+  // value is named as such, while a malformed number stays a bad number.
+  for (const char* line : {"@", "not json", "+1"}) {
+    const ParsedRequest parsed = parse_request_line(line);
+    EXPECT_EQ(parsed.error, "bad_request") << line;
+    EXPECT_EQ(parsed.message, "json: unexpected character at byte 0") << line;
+  }
+  for (const char* line : {"-x", "01"}) {
+    const ParsedRequest parsed = parse_request_line(line);
+    EXPECT_EQ(parsed.error, "bad_request") << line;
+    EXPECT_EQ(parsed.message, "json: bad number at byte 0") << line;
+  }
   // Both or neither of suite/csv.
   EXPECT_FALSE(parse_request_line(R"({"op":"score"})").ok);
   EXPECT_FALSE(

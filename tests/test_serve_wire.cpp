@@ -218,7 +218,7 @@ TEST(ServeWireGolden, SessionReplies) {
   transcript += run_script(engine, timed, clocked);
 
   transcript = stable_lines(transcript);
-  EXPECT_EQ(hex(fnv1a(transcript)), "17748b18b006aeeb") << transcript;
+  EXPECT_EQ(hex(fnv1a(transcript)), "e37e85a599812d67") << transcript;
 }
 
 TEST(ServeWireGolden, ForwardedRequestLines) {
